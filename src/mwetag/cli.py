@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from importlib.resources import files as resource_files
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Sequence, get_args, get_type_hints
 
 from .corpus import (
     Corpus,
@@ -29,7 +29,7 @@ from .errors import ConfigError, MweTagError
 from .evaluation import render_csv, render_text, score
 from .features import TokenRecord, encode_corpus, load_gazetteer
 from .ga import GaConfig, history_from_csv, history_to_csv, run_ga
-from .stemmer import load_affix_lexicon, stem
+from .stemmer import load_affix_lexicon, read_text, stem
 from .templates import (
     chromosome_to_template,
     default_catalogue,
@@ -63,38 +63,20 @@ class RunConfig:
     gradient_tolerance: float = 1e-4
 
 
-_INT_KEYS = {
-    "seed",
-    "min_stem",
-    "folds",
-    "max_generations",
-    "population_size",
-    "elitism_count",
-    "stagnation_generations",
-    "max_iterations",
-}
-_FLOAT_KEYS = {"crossover_rate", "mutation_rate", "rho", "gradient_tolerance"}
-_STR_KEYS = {
-    "prefixes",
-    "suffixes",
-    "gazetteer_salutations",
-    "gazetteer_followups",
-    "template",
-    "model",
-    "out",
-    "history",
-    "mode",
+def _setting_type(hint: object) -> type:
+    """The value type of a RunConfig field: T for both ``T`` and ``T | None``."""
+    return next((t for t in get_args(hint) if t is not type(None)), hint)
+
+
+_SETTING_TYPES = {
+    name: _setting_type(hint) for name, hint in get_type_hints(RunConfig).items()
 }
 
 
 def load_run_config(source: str | Path | IO[str]) -> RunConfig:
     """Flat ``key = value`` file; unknown keys and bad values are errors."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -102,15 +84,10 @@ def load_run_config(source: str | Path | IO[str]) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key not in _SETTING_TYPES:
+            raise ConfigError(f"line {lineno}: unknown setting {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key in _STR_KEYS:
-                values[key] = value
-            else:
-                raise ConfigError(f"line {lineno}: unknown setting {key!r}")
+            values[key] = _SETTING_TYPES[key](value)
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: bad value {value!r} for {key!r}"
@@ -128,10 +105,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         for f in fields(RunConfig)
         if getattr(args, f.name, None) is not None
     }
-    config = replace(config, **overrides)
-    if config.mode not in ("span", "token"):
-        raise ConfigError(f"mode must be 'span' or 'token', got {config.mode!r}")
-    return config
+    return replace(config, **overrides)
 
 
 def _packaged(name: str) -> io.StringIO:
@@ -158,12 +132,9 @@ def _require(config: RunConfig, *names: str) -> None:
         )
 
 
-def _train_config(config: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        rho=config.rho,
-        max_iterations=config.max_iterations,
-        gradient_tolerance=config.gradient_tolerance,
-    )
+def _settings_for(cls, config: RunConfig):
+    """Build a TrainConfig or GaConfig from the RunConfig fields it shares."""
+    return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
 
 
 def _cmd_stem(args: argparse.Namespace) -> int:
@@ -202,8 +173,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = _merge_config(args)
     _require(config, "template", "model")
     corpus = read_column_file(args.data, expect_labels=True)
-    template = parse_template(Path(config.template).read_text(encoding="utf-8"))
-    model = train(list(corpus), template, _train_config(config))
+    template = parse_template(read_text(config.template))
+    model = train(list(corpus), template, _settings_for(TrainConfig, config))
     save_model(model, config.model)
     print(f"trained on {len(corpus)} sentences, {len(model.weights)} weights -> {config.model}")
     return 0
@@ -248,17 +219,12 @@ def _cmd_ga_search(args: argparse.Namespace) -> int:
     _require(config, "out", "history")
     corpus = read_column_file(args.data, expect_labels=True)
     catalogue = default_catalogue()
-    ga_config = GaConfig(
-        population_size=config.population_size,
-        crossover_rate=config.crossover_rate,
-        mutation_rate=config.mutation_rate,
-        elitism_count=config.elitism_count,
-        max_generations=config.max_generations,
-        stagnation_generations=config.stagnation_generations,
-        folds=config.folds,
-        seed=config.seed,
+    result = run_ga(
+        list(corpus),
+        catalogue,
+        _settings_for(GaConfig, config),
+        _settings_for(TrainConfig, config),
     )
-    result = run_ga(list(corpus), catalogue, ga_config, _train_config(config))
     best = result.best
     atomic_write_text(
         config.out, serialize_template(chromosome_to_template(best.bits, catalogue))
@@ -273,7 +239,7 @@ def _cmd_ga_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    history = history_from_csv(Path(args.history).read_text(encoding="utf-8"))
+    history = history_from_csv(read_text(args.history))
     if not history:
         raise ConfigError(f"history file {args.history} has no generations")
     best_values = [record.best_fitness for record in history]

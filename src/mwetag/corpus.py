@@ -8,6 +8,7 @@ content lands in a temp file that is renamed over the target.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 import unicodedata
@@ -18,6 +19,7 @@ from typing import IO, Iterator, Sequence
 from .crf import CrfModel, LabelSet
 from .errors import InputError, ParseError
 from .features import LABELS, NUM_COLUMNS, Sentence, TokenRecord
+from .stemmer import read_text
 from .templates import parse_template, serialize_template
 
 MODEL_MAGIC = "mwetag-crf-model"
@@ -44,12 +46,6 @@ class Corpus:
     @property
     def token_count(self) -> int:
         return sum(len(s) for s in self.sentences)
-
-
-def _read_text(source: str | Path | IO[str]) -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    return Path(source).read_text(encoding="utf-8")
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -79,7 +75,7 @@ def read_column_file(source: str | Path | IO[str], expect_labels: bool = True) -
     NUM_COLUMNS + 1 fields; otherwise a trailing 23rd field is ignored."""
     sentences: list[Sentence] = []
     current: list[TokenRecord] = []
-    for lineno, raw in enumerate(_read_text(source).splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
         if not raw.strip():
             if current:
                 sentences.append(tuple(current))
@@ -133,7 +129,7 @@ def read_raw(source: str | Path | IO[str]) -> list[list[tuple[str, str, str]]]:
     """Raw triples, NFC-normalized; the label defaults to "O" when absent."""
     sentences: list[list[tuple[str, str, str]]] = []
     current: list[tuple[str, str, str]] = []
-    for lineno, raw in enumerate(_read_text(source).splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
         if not raw.strip():
             if current:
                 sentences.append(current)
@@ -199,7 +195,7 @@ def save_model(model: CrfModel, target: str | Path | IO[str]) -> None:
 def load_model(source: str | Path | IO[str]) -> CrfModel:
     # split on "\n" alone: escaped keys may hold exotic line separators
     # (NEL, U+2028) that splitlines() would treat as line breaks
-    lines = _read_text(source).split("\n")
+    lines = read_text(source).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
 
@@ -221,6 +217,8 @@ def load_model(source: str | Path | IO[str]) -> CrfModel:
         rho = float(rho_parts[1])
     except ValueError:
         raise ParseError(f"bad rho value {rho_parts[1]!r}", line=2) from None
+    if not (math.isfinite(rho) and rho > 0):
+        raise ParseError(f"rho must be finite and positive, got {rho_parts[1]!r}", line=2)
 
     label_line = need(2, "labels")
     if not label_line.startswith("labels "):
@@ -245,10 +243,15 @@ def load_model(source: str | Path | IO[str]) -> CrfModel:
         row = need(at + 1 + i, "weight row").split("\t")
         if len(row) != 3:
             raise ParseError("expected 'first<TAB>second<TAB>value'", line=lineno)
+        key = (_unescape(row[0]), _unescape(row[1]))
+        if key in weights:
+            raise ParseError(f"duplicate weight key {key!r}", line=lineno)
         try:
-            weights[(_unescape(row[0]), _unescape(row[1]))] = float(row[2])
+            weights[key] = float(row[2])
         except ValueError:
             raise ParseError(f"bad weight value {row[2]!r}", line=lineno) from None
+        if not math.isfinite(weights[key]):
+            raise ParseError(f"weight {row[2]!r} is not finite", line=lineno)
     tail = at + 1 + n_weights
     for extra, raw in enumerate(lines[tail:], start=tail + 1):
         if raw.strip():

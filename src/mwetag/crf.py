@@ -93,32 +93,25 @@ def _lse(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def build_lattice(model: CrfModel, rows: Sequence[TokenRecord]) -> Lattice:
-    """Sum unigram weights per (position, label); transitions come straight
-    from the weight map, or stay zero when the template disables them."""
+    """Score one sentence through the batch core: compile it against its own
+    feature strings, look each string's weights up once, and sum the rows.
+    Gold labels are not read, so unlabeled rows score like labeled ones."""
     if not rows:
         raise InputError("cannot build a lattice for an empty sentence")
-    labels = model.label_set.labels
-    L = len(labels)
-    weights = model.weights
-    unary = np.zeros((len(rows), L))
-    for t in range(len(rows)):
-        active = expand_macros(model.template, rows, t)
-        for j, lab in enumerate(labels):
-            unary[t, j] = sum(weights.get((s, lab), 0.0) for s in active)
-    trans = np.zeros((L, L))
-    if model.template.include_label_bigram:
-        for a, la in enumerate(labels):
-            for b, lb in enumerate(labels):
-                trans[a, b] = weights.get((la, lb), 0.0)
-    return Lattice(log_unary=unary, log_transition=trans)
+    comp = _compile(model.template, None, [rows], vocab=None)
+    wu, wt = _weights_to_arrays(model, comp.vocab)
+    return Lattice(log_unary=_unary_batch(wu, comp)[0], log_transition=wt)
+
+
+def _as_batch(lattice: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A lattice as a batch of one: unary (1, T, L), transitions, full mask."""
+    e = lattice.log_unary[None]
+    return e, lattice.log_transition, np.ones(e.shape[:2], dtype=bool)
 
 
 def log_partition(lattice: Lattice) -> float:
     """Log of the sum of exp(score) over every label sequence."""
-    alpha = lattice.log_unary[0]
-    for t in range(1, lattice.log_unary.shape[0]):
-        alpha = _lse(alpha[:, None] + lattice.log_transition, axis=0) + lattice.log_unary[t]
-    return float(_lse(alpha, axis=0))
+    return float(_log_z_batch(*_as_batch(lattice))[0])
 
 
 def sequence_score(lattice: Lattice, indices: Sequence[int]) -> float:
@@ -168,50 +161,34 @@ def viterbi_decode(model: CrfModel, rows: Sequence[TokenRecord]) -> list[str]:
 
 def marginals(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
     """Posterior node marginals (T, L) and edge marginals (T-1, L, L)."""
-    unary, trans = lattice.log_unary, lattice.log_transition
-    T, L = unary.shape
-    alpha = np.empty((T, L))
-    alpha[0] = unary[0]
-    for t in range(1, T):
-        alpha[t] = _lse(alpha[t - 1][:, None] + trans, axis=0) + unary[t]
-    beta = np.zeros((T, L))
-    for t in range(T - 2, -1, -1):
-        beta[t] = _lse(trans + (unary[t + 1] + beta[t + 1])[None, :], axis=1)
-    log_z = _lse(alpha[-1], axis=0)
-    node = np.exp(alpha + beta - log_z)
-    if T > 1:
-        edge = np.exp(
-            alpha[:-1, :, None]
-            + trans[None, :, :]
-            + (unary[1:] + beta[1:])[:, None, :]
-            - log_z
-        )
-    else:
-        edge = np.zeros((0, L, L))
-    return node, edge
+    node, edge = _posteriors(*_as_batch(lattice), with_edges=True)
+    return node[0], edge[0]
 
 
 # ---------------------------------------------------------------------------
-# Compiled batch path shared by training, objective, and gradient.
+# Compiled batch core: the one scoring, normalising and posterior path, shared
+# by tagging, training, cross-validation, the objective and the gradient.
 
 
 @dataclass
 class _Compiled:
     vocab: dict[str, int]
     feats: np.ndarray  # (N, Tmax, M) int32 feature rows, pad positions zeroed
-    gold: np.ndarray  # (N, Tmax) int32
+    gold: np.ndarray  # (N, Tmax) int32, zero when compiled without labels
     mask: np.ndarray  # (N, Tmax) bool
     lengths: np.ndarray  # (N,) int32
 
 
 def _compile(
     template: Template,
-    label_set: LabelSet,
+    label_set: LabelSet | None,
     data: Sequence[Sequence[TokenRecord]],
     vocab: dict[str, int] | None,
 ) -> _Compiled:
     """Intern feature strings to integer rows.  With a frozen vocab, unseen
-    strings map to the extra index len(vocab), which carries zero weight."""
+    strings map to the extra index len(vocab), which carries zero weight.
+    A grown vocab numbers its strings 0..n-1 in insertion order.  Without a
+    label set the gold labels are not read."""
     if not len(data):
         raise InputError("training data must contain at least one sentence")
     grow = vocab is None
@@ -223,20 +200,21 @@ def _compile(
     n_macros = len(template.macros)
     feats = np.zeros((n_sents, t_max, n_macros), dtype=np.int32)
     gold = np.zeros((n_sents, t_max), dtype=np.int32)
-    mask = np.zeros((n_sents, t_max), dtype=bool)
-    lengths = np.zeros(n_sents, dtype=np.int32)
+    lengths = np.array([len(rows) for rows in data], dtype=np.int32)
     for n, rows in enumerate(data):
         if not len(rows):
             raise InputError(f"sentence {n} is empty")
-        lengths[n] = len(rows)
+        if label_set is not None:
+            gold[n, : len(rows)] = [label_set.index(row.label) for row in rows]
+        ids = []
         for t in range(len(rows)):
-            mask[n, t] = True
-            gold[n, t] = label_set.index(rows[t].label)
-            for m, s in enumerate(expand_macros(template, rows, t)):
-                if grow:
-                    feats[n, t, m] = vocab.setdefault(s, len(vocab))
-                else:
-                    feats[n, t, m] = vocab.get(s, unk)
+            active = expand_macros(template, rows, t)
+            if grow:
+                ids.append([vocab.setdefault(s, len(vocab)) for s in active])
+            else:
+                ids.append([vocab.get(s, unk) for s in active])
+        feats[n, : len(rows)] = ids
+    mask = np.arange(t_max) < lengths[:, None]
     return _Compiled(vocab=vocab, feats=feats, gold=gold, mask=mask, lengths=lengths)
 
 
@@ -268,6 +246,26 @@ def _log_z_batch(e: np.ndarray, wt: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return _lse(_forward_batch(e, wt, mask)[:, -1], axis=1)
 
 
+def _posteriors(
+    e: np.ndarray, wt: np.ndarray, mask: np.ndarray, with_edges: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Node marginals (N, Tmax, L) and, with_edges, edge marginals
+    (N, Tmax-1, L, L); both are zero at padding."""
+    alpha = _forward_batch(e, wt, mask)
+    beta = _backward_batch(e, wt, mask)
+    log_z = _lse(alpha[:, -1], axis=1)
+    node = np.exp(alpha + beta - log_z[:, None, None]) * mask[:, :, None]
+    edge = None
+    if with_edges:
+        edge = np.exp(
+            alpha[:, :-1, :, None]
+            + wt[None, None]
+            + (e[:, 1:] + beta[:, 1:])[:, :, None, :]
+            - log_z[:, None, None, None]
+        ) * mask[:, 1:, None, None]
+    return node, edge
+
+
 def _gold_total(
     e: np.ndarray, wt: np.ndarray, gold: np.ndarray, mask: np.ndarray, use_trans: bool
 ) -> float:
@@ -280,18 +278,24 @@ def _gold_total(
     return total
 
 
+def _log_likelihood(
+    comp: _Compiled, wu: np.ndarray, wt: np.ndarray, use_trans: bool
+) -> float:
+    """Conditional log-likelihood of the compiled gold labels."""
+    e = _unary_batch(wu, comp)
+    ll = _gold_total(e, wt, comp.gold, comp.mask, use_trans)
+    return ll - float(_log_z_batch(e, wt, comp.mask).sum())
+
+
 def _count_gradient(
     comp: _Compiled, wu: np.ndarray, wt: np.ndarray, use_trans: bool
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(empirical - expected) counts and the data log-likelihood."""
-    n, t_max, n_macros = comp.feats.shape
+) -> tuple[np.ndarray, np.ndarray]:
+    """(empirical - expected) counts of the unary and transition weights."""
+    _, t_max, n_macros = comp.feats.shape
     n_feats, L = wu.shape
     e = _unary_batch(wu, comp)
-    alpha = _forward_batch(e, wt, comp.mask)
-    beta = _backward_batch(e, wt, comp.mask)
-    log_z = _lse(alpha[:, -1], axis=1)
-
-    node = np.exp(alpha + beta - log_z[:, None, None]) * comp.mask[:, :, None]
+    with_edges = use_trans and t_max > 1
+    node, edge = _posteriors(e, wt, comp.mask, with_edges)
 
     flat_mask = comp.mask.ravel()
     flat_feats = comp.feats.reshape(-1, n_macros)[flat_mask]
@@ -304,19 +308,11 @@ def _count_gradient(
         np.add.at(gu, flat_feats.ravel(), -np.repeat(flat_node, n_macros, axis=0))
 
     gt = np.zeros((L, L))
-    if use_trans and t_max > 1:
+    if with_edges:
         valid = comp.mask[:, 1:]
         np.add.at(gt, (comp.gold[:, :-1][valid], comp.gold[:, 1:][valid]), 1.0)
-        edge = np.exp(
-            alpha[:, :-1, :, None]
-            + wt[None, None]
-            + (e[:, 1:] + beta[:, 1:])[:, :, None, :]
-            - log_z[:, None, None, None]
-        )
-        gt -= (edge * valid[:, :, None, None]).sum(axis=(0, 1))
-
-    ll = _gold_total(e, wt, comp.gold, comp.mask, use_trans) - float(log_z.sum())
-    return gu, gt, ll
+        gt -= edge.sum(axis=(0, 1))
+    return gu, gt
 
 
 def _ascend(
@@ -329,23 +325,18 @@ def _ascend(
     rho2 = config.rho**2
 
     def objective(wu_c: np.ndarray, wt_c: np.ndarray) -> float:
-        e = _unary_batch(wu_c, comp)
-        ll = _gold_total(e, wt_c, comp.gold, comp.mask, use_trans)
-        ll -= float(_log_z_batch(e, wt_c, comp.mask).sum())
         penalty = float((wu_c**2).sum())
         if use_trans:
             penalty += float((wt_c**2).sum())
-        return ll - penalty / (2.0 * rho2)
+        return _log_likelihood(comp, wu_c, wt_c, use_trans) - penalty / (2.0 * rho2)
 
     obj = objective(wu, wt)
     step = 1.0
     for _ in range(config.max_iterations):
-        gu, gt, _ = _count_gradient(comp, wu, wt, use_trans)
+        gu, gt = _count_gradient(comp, wu, wt, use_trans)
         gu -= wu / rho2
         if use_trans:
             gt -= wt / rho2
-        else:
-            gt = np.zeros((L, L))
         grad_norm = max(
             float(np.abs(gu).max()) if gu.size else 0.0, float(np.abs(gt).max())
         )
@@ -375,11 +366,8 @@ def regularized_objective(
     """Conditional log-likelihood of data minus sum(w^2)/(2*rho^2) over the
     model's stored weights."""
     comp = _compile(model.template, model.label_set, data, vocab=None)
-    use_trans = model.template.include_label_bigram
     wu, wt = _weights_to_arrays(model, comp.vocab)
-    e = _unary_batch(wu, comp)
-    ll = _gold_total(e, wt, comp.gold, comp.mask, use_trans)
-    ll -= float(_log_z_batch(e, wt, comp.mask).sum())
+    ll = _log_likelihood(comp, wu, wt, model.template.include_label_bigram)
     penalty = sum(w * w for w in model.weights.values()) / (2.0 * model.rho**2)
     return ll - penalty
 
@@ -392,19 +380,11 @@ def gradient(
     comp = _compile(model.template, model.label_set, data, vocab=None)
     use_trans = model.template.include_label_bigram
     wu, wt = _weights_to_arrays(model, comp.vocab)
-    gu, gt, _ = _count_gradient(comp, wu, wt, use_trans)
+    gu, gt = _count_gradient(comp, wu, wt, use_trans)
     rho2 = model.rho**2
-    labels = model.label_set.labels
-    out: dict[WeightKey, float] = {}
-    for s, i in comp.vocab.items():
-        for j, lab in enumerate(labels):
-            key = (s, lab)
-            out[key] = float(gu[i, j]) - model.weights.get(key, 0.0) / rho2
-    if use_trans:
-        for a, la in enumerate(labels):
-            for b, lb in enumerate(labels):
-                key = (la, lb)
-                out[key] = float(gt[a, b]) - model.weights.get(key, 0.0) / rho2
+    out = _arrays_to_weights(
+        model.label_set.labels, comp.vocab, gu - wu / rho2, gt - wt / rho2, use_trans
+    )
     for key, w in model.weights.items():
         if key not in out:
             out[key] = -w / rho2
@@ -414,18 +394,35 @@ def gradient(
 def _weights_to_arrays(
     model: CrfModel, vocab: Mapping[str, int]
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Unary rows in vocab order and the transition matrix, zero wherever the
+    weight map has no entry or the template disables transitions."""
     labels = model.label_set.labels
     L = len(labels)
-    wu = np.zeros((len(vocab), L))
-    for s, i in vocab.items():
-        for j, lab in enumerate(labels):
-            wu[i, j] = model.weights.get((s, lab), 0.0)
+    get = model.weights.get
+    wu = np.array([[get((s, lab), 0.0) for lab in labels] for s in vocab], dtype=float)
     wt = np.zeros((L, L))
     if model.template.include_label_bigram:
-        for a, la in enumerate(labels):
-            for b, lb in enumerate(labels):
-                wt[a, b] = model.weights.get((la, lb), 0.0)
-    return wu, wt
+        wt = np.array([[get((a, b), 0.0) for b in labels] for a in labels], dtype=float)
+    return wu.reshape(len(vocab), L), wt
+
+
+def _arrays_to_weights(
+    labels: Sequence[str],
+    vocab: Mapping[str, int],
+    wu: np.ndarray,
+    wt: np.ndarray,
+    use_trans: bool,
+) -> dict[WeightKey, float]:
+    """The weight map of (wu, wt): each feature's labels in vocab order, then
+    every label pair when transitions are on."""
+    weights = {
+        (s, lab): w for s, row in zip(vocab, wu.tolist()) for lab, w in zip(labels, row)
+    }
+    if use_trans:
+        weights.update(
+            ((a, b), w) for a, row in zip(labels, wt.tolist()) for b, w in zip(labels, row)
+        )
+    return weights
 
 
 def train(
@@ -441,15 +438,7 @@ def train(
     comp = _compile(template, label_set, data, vocab=None)
     use_trans = template.include_label_bigram
     wu, wt = _ascend(comp, len(label_set), use_trans, config)
-    labels = label_set.labels
-    weights: dict[WeightKey, float] = {}
-    for s, i in comp.vocab.items():
-        for j, lab in enumerate(labels):
-            weights[(s, lab)] = float(wu[i, j])
-    if use_trans:
-        for a, la in enumerate(labels):
-            for b, lb in enumerate(labels):
-                weights[(la, lb)] = float(wt[a, b])
+    weights = _arrays_to_weights(label_set.labels, comp.vocab, wu, wt, use_trans)
     return CrfModel(label_set=label_set, template=template, weights=weights, rho=config.rho)
 
 
@@ -467,12 +456,10 @@ def train_and_decode(
     comp = _compile(template, label_set, train_sentences, vocab=None)
     use_trans = template.include_label_bigram
     wu, wt = _ascend(comp, len(label_set), use_trans, config)
-    test = _compile(template, label_set, test_sentences, vocab=comp.vocab)
-    wu_ext = np.vstack([wu, np.zeros((1, len(label_set)))])
+    test = _compile(template, None, test_sentences, vocab=comp.vocab)
+    e = _unary_batch(np.vstack([wu, np.zeros((1, len(label_set)))]), test)
     predictions: list[list[str]] = []
-    for n in range(test.feats.shape[0]):
-        t_n = int(test.lengths[n])
-        unary = wu_ext[test.feats[n, :t_n]].sum(axis=1)
-        path = decode_lattice(Lattice(log_unary=unary, log_transition=wt))
+    for n, t_n in enumerate(test.lengths.tolist()):
+        path = decode_lattice(Lattice(log_unary=e[n, :t_n], log_transition=wt))
         predictions.append([label_set.labels[i] for i in path])
     return predictions

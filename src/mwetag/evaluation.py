@@ -6,8 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError
-
-_BIO = {"O", "B-MWE", "I-MWE"}
+from .features import LABELS
 
 
 @dataclass(frozen=True, order=True)
@@ -23,7 +22,7 @@ def extract_spans(labels: Sequence[str], sentence_index: int = 0) -> set[Span]:
     spans: set[Span] = set()
     start: int | None = None
     for t, label in enumerate(labels):
-        if label not in _BIO:
+        if label not in LABELS:
             raise InputError(f"unknown label {label!r} at position {t}")
         if label == "B-MWE":
             if start is not None:
@@ -96,9 +95,9 @@ def score(
         correct = gold_total = predicted_total = 0
         for g, p in zip(gold, predicted):
             for gl, pl in zip(g, p):
-                if gl not in _BIO:
+                if gl not in LABELS:
                     raise InputError(f"unknown label {gl!r}")
-                if pl not in _BIO:
+                if pl not in LABELS:
                     raise InputError(f"unknown label {pl!r}")
                 gold_total += gl != "O"
                 predicted_total += pl != "O"

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, InputError
-from .stemmer import AffixLexicon, stem
+from .stemmer import AffixLexicon, read_text, stem
 
 LABELS = ("O", "B-MWE", "I-MWE")
 
@@ -50,58 +50,6 @@ class TokenRecord:
                 f"token row needs {NUM_COLUMNS} feature columns, got {len(self.columns)}"
             )
 
-    @property
-    def word(self) -> str:
-        return self.columns[COL_WORD]
-
-    @property
-    def stem(self) -> str:
-        return self.columns[COL_STEM]
-
-    @property
-    def suffix_slots(self) -> tuple[str, ...]:
-        return self.columns[COL_SUFFIX_FIRST : COL_SUFFIX_FIRST + SUFFIX_SLOTS]
-
-    @property
-    def suffix_present(self) -> int:
-        return int(self.columns[COL_SUFFIX_PRESENT])
-
-    @property
-    def suffix_count(self) -> int:
-        return int(self.columns[COL_SUFFIX_COUNT])
-
-    @property
-    def prefix(self) -> str:
-        return self.columns[COL_PREFIX]
-
-    @property
-    def prefix_present(self) -> int:
-        return int(self.columns[COL_PREFIX_PRESENT])
-
-    @property
-    def digit_flag(self) -> int:
-        return int(self.columns[COL_DIGIT])
-
-    @property
-    def salutation_flag(self) -> int:
-        return int(self.columns[COL_SALUTATION])
-
-    @property
-    def followup_flag(self) -> int:
-        return int(self.columns[COL_FOLLOWUP])
-
-    @property
-    def frequency_bin(self) -> int:
-        return int(self.columns[COL_FREQUENCY])
-
-    @property
-    def length_flag(self) -> int:
-        return int(self.columns[COL_LENGTH])
-
-    @property
-    def pos(self) -> str:
-        return self.columns[COL_POS]
-
 
 Sentence = tuple[TokenRecord, ...]
 
@@ -123,16 +71,11 @@ class Gazetteer:
 
 
 def _read_gazetteer_lines(source: str | Path | IO[str]) -> frozenset[str]:
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    entries = {
+    return frozenset(
         unicodedata.normalize("NFC", raw.strip())
-        for raw in lines
+        for raw in read_text(source).splitlines()
         if raw.strip() and not raw.lstrip().startswith("#")
-    }
-    return frozenset(entries)
+    )
 
 
 def load_gazetteer(

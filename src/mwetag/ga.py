@@ -9,6 +9,7 @@ reproducible bit for bit no matter how fitness evaluations are scheduled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -278,9 +279,15 @@ def history_from_csv(text: str) -> list[GenerationRecord]:
             generation = int(parts[0])
             best = float(parts[1])
             mean = float(parts[2])
-            bits = tuple(int(ch) for ch in parts[3])
         except ValueError as exc:
             raise ParseError(f"bad history row: {exc}", line=lineno) from exc
+        if not (math.isfinite(best) and math.isfinite(mean)):
+            raise ParseError("fitness values must be finite", line=lineno)
+        if not parts[3] or set(parts[3]) - {"0", "1"}:
+            raise ParseError(
+                f"best_bits {parts[3]!r} is not a string of 0s and 1s", line=lineno
+            )
+        bits = tuple(int(ch) for ch in parts[3])
         records.append(
             GenerationRecord(
                 generation=generation, best_fitness=best, mean_fitness=mean, best_bits=bits

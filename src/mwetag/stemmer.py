@@ -55,14 +55,17 @@ class StemResult:
         return len(self.stripped_suffixes)
 
 
-def _read_affix_lines(source: str | Path | IO[str], kind: str) -> tuple[str, ...]:
+def read_text(source: str | Path | IO[str]) -> str:
+    """The whole text of a UTF-8 file path or of an open text stream."""
     if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
+        return source.read()
+    return Path(source).read_text(encoding="utf-8")
+
+
+def _read_affix_lines(source: str | Path | IO[str], kind: str) -> tuple[str, ...]:
     entries: list[str] = []
     seen: dict[str, int] = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
         entry = _nfc(raw.rstrip())

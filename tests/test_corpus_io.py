@@ -270,6 +270,30 @@ def test_load_model_rejects_garbage_header(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "line_index, replacement",
+    [
+        (1, "rho nan"),
+        (1, "rho inf"),
+        (1, "rho 0.0"),
+        (1, "rho -2.5"),
+        (8, "U00:w\tO\tnan"),
+        (9, "U00:v\tO\t-inf"),
+        (9, "U00:w\tO\t2.0"),  # same key as the line before
+    ],
+)
+def test_load_model_rejects_bad_values(tmp_path, line_index, replacement):
+    weights = {("U00:w", "O"): 1.0, ("U00:v", "O"): 2.0}
+    path = tmp_path / "model.txt"
+    save_model(model_for_test(weights), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[line_index] = replacement
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_model(path)
+    assert f"line {line_index + 1}:" in str(exc.value)
+
+
 weight_strings = st.text(
     alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)),
     min_size=1,

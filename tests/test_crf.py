@@ -14,6 +14,8 @@ from mwetag.crf import (
     LabelSet,
     Lattice,
     TrainConfig,
+    _log_z_batch,
+    _posteriors,
     build_lattice,
     decode_lattice,
     gradient,
@@ -197,6 +199,34 @@ def test_marginal_consistency():
     assert np.allclose(edge.sum(axis=2), node[:-1], atol=1e-10)
     assert np.allclose(edge.sum(axis=1), node[1:], atol=1e-10)
     assert np.all(node >= 0.0) and np.all(node <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("bigram", [True, False])
+def test_batch_padding_leaves_each_sentence_unchanged(bigram):
+    """A sentence padded into a batch with longer ones gets the same log Z
+    and marginals as on its own, and exactly zero posteriors at padding."""
+    rng = np.random.default_rng(17)
+    lengths = (1, 3, 6, 2)
+    # one shared transition matrix: each sentence's own model differs
+    built = [
+        build_lattice(*random_model_and_sentence(rng, T, bigram=bigram)) for T in lengths
+    ]
+    trans = built[0].log_transition
+    lattices = [Lattice(log_unary=b.log_unary, log_transition=trans) for b in built]
+    t_max = max(lengths)
+    e = np.zeros((len(lengths), t_max, 3))
+    mask = np.zeros((len(lengths), t_max), dtype=bool)
+    for n, lat in enumerate(lattices):
+        e[n, : lengths[n]] = lat.log_unary
+        mask[n, : lengths[n]] = True
+    log_z = _log_z_batch(e, trans, mask)
+    node, edge = _posteriors(e, trans, mask, with_edges=True)
+    for n, (T, lat) in enumerate(zip(lengths, lattices)):
+        own_node, own_edge = marginals(lat)
+        assert log_z[n] == pytest.approx(log_partition(lat), rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(node[n, :T], own_node, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(edge[n, : T - 1], own_edge, rtol=1e-12, atol=1e-15)
+        assert not node[n, T:].any() and not edge[n, T - 1 :].any()
 
 
 def tiny_corpus():

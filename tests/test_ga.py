@@ -380,7 +380,9 @@ def test_history_from_csv_rejects_bad_header():
 
 
 def test_history_from_csv_reports_line_numbers():
-    text = "generation,best_fitness,mean_fitness,best_bits\n1,2.0,1.0,01x\n"
-    with pytest.raises(ParseError) as exc:
-        history_from_csv(text)
-    assert "line 2" in str(exc.value)
+    header = "generation,best_fitness,mean_fitness,best_bits\n1,2.0,1.0,01\n"
+    bad_rows = ("1,2.0,1.0,01x", "1,2.0,1.0,0292", "1,2.0,1.0,", "1,nan,1.0,01", "1,2.0,inf,01")
+    for bad_row in bad_rows:
+        with pytest.raises(ParseError) as exc:
+            history_from_csv(header + bad_row + "\n")
+        assert "line 3" in str(exc.value), bad_row
