@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on data/configuration errors, 2 on usage errors.
-Settings resolve in three layers: built-in defaults, then a --config file,
-then explicit command-line flags.
+Settings resolve once per run, in three layers: the library's defaults,
+then a --config file, then explicit command-line flags.
 """
 
 from __future__ import annotations
@@ -49,18 +49,18 @@ class RunConfig:
     out: str | None = None
     history: str | None = None
     mode: str = "span"
-    seed: int = 0
+    seed: int = GaConfig.seed
     min_stem: int = 1
-    folds: int = 3
-    max_generations: int = 50
-    population_size: int = 20
-    crossover_rate: float = 0.8
-    mutation_rate: float | None = None
-    elitism_count: int = 2
-    stagnation_generations: int = 5
-    rho: float = 10.0
-    max_iterations: int = 200
-    gradient_tolerance: float = 1e-4
+    folds: int = GaConfig.folds
+    max_generations: int = GaConfig.max_generations
+    population_size: int = GaConfig.population_size
+    crossover_rate: float = GaConfig.crossover_rate
+    mutation_rate: float | None = GaConfig.mutation_rate
+    elitism_count: int = GaConfig.elitism_count
+    stagnation_generations: int = GaConfig.stagnation_generations
+    rho: float = TrainConfig.rho
+    max_iterations: int = TrainConfig.max_iterations
+    gradient_tolerance: float = TrainConfig.gradient_tolerance
 
 
 def _setting_type(hint: object) -> type:
@@ -137,8 +137,7 @@ def _settings_for(cls, config: RunConfig):
     return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
 
 
-def _cmd_stem(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
+def _cmd_stem(args: argparse.Namespace, config: RunConfig) -> int:
     lexicon = _load_lexicon(config)
     words = args.words or [line.strip() for line in sys.stdin if line.strip()]
     for word in words:
@@ -156,8 +155,7 @@ def _cmd_stem(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_encode(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
+def _cmd_encode(args: argparse.Namespace, config: RunConfig) -> int:
     _require(config, "out")
     raw = read_raw(args.input)
     encoded = encode_corpus(
@@ -169,8 +167,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
+def _cmd_train(args: argparse.Namespace, config: RunConfig) -> int:
     _require(config, "template", "model")
     corpus = read_column_file(args.data, expect_labels=True)
     template = parse_template(read_text(config.template))
@@ -180,8 +177,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tag(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
+def _cmd_tag(args: argparse.Namespace, config: RunConfig) -> int:
     _require(config, "model", "out")
     model = load_model(config.model)
     corpus = read_column_file(args.data, expect_labels=False)
@@ -199,8 +195,7 @@ def _cmd_tag(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
+def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     gold = read_column_file(args.gold, expect_labels=True)
     predicted = read_column_file(args.predicted, expect_labels=True)
     report = score(
@@ -214,8 +209,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ga_search(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
+def _cmd_ga_search(args: argparse.Namespace, config: RunConfig) -> int:
     _require(config, "out", "history")
     corpus = read_column_file(args.data, expect_labels=True)
     catalogue = default_catalogue()
@@ -238,7 +232,7 @@ def _cmd_ga_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
     history = history_from_csv(read_text(args.history))
     if not history:
         raise ConfigError(f"history file {args.history} has no generations")
@@ -258,9 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, affixes=False, gazetteers=False) -> None:
+    def common(
+        p: argparse.ArgumentParser, *, affixes=False, gazetteers=False, training=False
+    ) -> None:
         p.add_argument("--config", help="key = value settings file")
-        p.add_argument("--seed", type=int)
         if affixes:
             p.add_argument("--prefixes", help="prefix list file (default: packaged)")
             p.add_argument("--suffixes", help="suffix list file (default: packaged)")
@@ -268,6 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
         if gazetteers:
             p.add_argument("--gazetteer-salutations", dest="gazetteer_salutations")
             p.add_argument("--gazetteer-followups", dest="gazetteer_followups")
+        if training:
+            p.add_argument("--rho", type=float)
+            p.add_argument("--max-iterations", dest="max_iterations", type=int)
+            p.add_argument("--tolerance", dest="gradient_tolerance", type=float)
 
     p = sub.add_parser("stem", help="stem words with the affix lexicon")
     common(p, affixes=True)
@@ -281,13 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("train", help="train a CRF from a labeled column file")
-    common(p)
+    common(p, training=True)
     p.add_argument("data", help="labeled column file")
     p.add_argument("--template")
     p.add_argument("--model")
-    p.add_argument("--rho", type=float)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p.add_argument("--tolerance", dest="gradient_tolerance", type=float)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("tag", help="label a column file with a trained model")
@@ -306,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("ga-search", help="search feature subsets with the genetic algorithm")
-    common(p)
+    common(p, training=True)
     p.add_argument("data", help="labeled column file")
     p.add_argument("--out", help="where to write the best template")
     p.add_argument("--history", help="where to write the per-generation history CSV")
@@ -317,9 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mutation-rate", dest="mutation_rate", type=float)
     p.add_argument("--elitism", dest="elitism_count", type=int)
     p.add_argument("--stagnation", dest="stagnation_generations", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p.add_argument("--tolerance", dest="gradient_tolerance", type=float)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_ga_search)
 
     p = sub.add_parser("report", help="summarize a ga-search history CSV")
@@ -336,7 +330,7 @@ def dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, _merge_config(args))
     except MweTagError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -107,13 +107,12 @@ def read_column_file(source: str | Path | IO[str], expect_labels: bool = True) -
 def write_column_file(
     corpus: Corpus | Sequence[Sentence],
     target: str | Path | IO[str],
-    include_labels: bool = True,
 ) -> None:
     blocks = []
     for s_idx, sentence in enumerate(corpus):
         lines = []
         for t, record in enumerate(sentence):
-            fields = record.columns + ((record.label,) if include_labels else ())
+            fields = record.columns + (record.label,)
             for value in fields:
                 if not value or any(ch.isspace() for ch in value):
                     raise InputError(

@@ -66,7 +66,7 @@ class CrfModel:
     label_set: LabelSet
     template: Template
     weights: dict[WeightKey, float]
-    rho: float = 10.0
+    rho: float = TrainConfig.rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,12 +429,11 @@ def train(
     data: Sequence[Sequence[TokenRecord]],
     template: Template,
     config: TrainConfig | None = None,
-    label_set: LabelSet | None = None,
 ) -> CrfModel:
     """Fit weights on labeled sentences.  Deterministic: zero initialization
     and a fixed line-search policy, no randomness anywhere."""
     config = config or TrainConfig()
-    label_set = label_set or LabelSet()
+    label_set = LabelSet()
     comp = _compile(template, label_set, data, vocab=None)
     use_trans = template.include_label_bigram
     wu, wt = _ascend(comp, len(label_set), use_trans, config)
@@ -447,12 +446,11 @@ def train_and_decode(
     test_sentences: Sequence[Sequence[TokenRecord]],
     template: Template,
     config: TrainConfig | None = None,
-    label_set: LabelSet | None = None,
 ) -> list[list[str]]:
     """Train on one partition and decode another without materializing the
     weight map; feature strings unseen in training score zero."""
     config = config or TrainConfig()
-    label_set = label_set or LabelSet()
+    label_set = LabelSet()
     comp = _compile(template, label_set, train_sentences, vocab=None)
     use_trans = template.include_label_bigram
     wu, wt = _ascend(comp, len(label_set), use_trans, config)

@@ -160,7 +160,7 @@ def select_parent(pool: Sequence[Chromosome], rng: np.random.Generator) -> Chrom
 
 
 def crossover(
-    a: Chromosome, b: Chromosome, rng: np.random.Generator, rate: float = 0.8
+    a: Chromosome, b: Chromosome, rng: np.random.Generator, rate: float = GaConfig.crossover_rate
 ) -> tuple[Chromosome, Chromosome]:
     """Single-point tail swap with probability rate, else copies. Fitness is
     cleared on the offspring."""
@@ -211,14 +211,10 @@ def run_ga(
 
     population = initialize_population(len(catalogue), config)
     history: list[GenerationRecord] = []
-    best_overall: Chromosome | None = None
 
     for generation in range(config.max_generations):
         pool = [replace(c, fitness=fitness_of(c.bits)) for c in population]
-        best = pool[0]
-        for c in pool[1:]:
-            if c.fitness > best.fitness:
-                best = c
+        best = max(pool, key=lambda c: c.fitness)  # the first of equal fitness
         mean = float(sum(c.fitness for c in pool) / len(pool))
         history.append(
             GenerationRecord(
@@ -228,8 +224,6 @@ def run_ga(
                 best_bits=best.bits,
             )
         )
-        if best_overall is None or best.fitness > best_overall.fitness:
-            best_overall = best
 
         window = config.stagnation_generations
         if len(history) > window and history[-1].best_fitness == history[-1 - window].best_fitness:
@@ -251,7 +245,10 @@ def run_ga(
                 next_population.append(mutate(second, rng, config.mutation_rate))
         population = next_population
 
-    return GaResult(best=best_overall, history=tuple(history))
+    top = max(history, key=lambda r: r.best_fitness)  # the first generation to reach it
+    return GaResult(
+        best=Chromosome(bits=top.best_bits, fitness=top.best_fitness), history=tuple(history)
+    )
 
 
 def history_to_csv(history: Sequence[GenerationRecord]) -> str:
@@ -286,6 +283,10 @@ def history_from_csv(text: str) -> list[GenerationRecord]:
         if not parts[3] or set(parts[3]) - {"0", "1"}:
             raise ParseError(
                 f"best_bits {parts[3]!r} is not a string of 0s and 1s", line=lineno
+            )
+        if generation != len(records) + 1:
+            raise ParseError(
+                f"expected generation {len(records) + 1}, got {generation}", line=lineno
             )
         bits = tuple(int(ch) for ch in parts[3])
         records.append(

@@ -41,7 +41,6 @@ class FeatureMacro:
 
     id: str
     refs: tuple[tuple[int, int], ...]
-    kind: str = "unigram"
 
     def __post_init__(self) -> None:
         if not self.refs:

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import inspect
 import io
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from mwetag.cli import dispatch, load_run_config
+from mwetag.cli import RunConfig, dispatch, load_run_config
 from mwetag.corpus import read_column_file
+from mwetag.crf import CrfModel, TrainConfig
 from mwetag.errors import ConfigError
+from mwetag.ga import GaConfig, crossover
 
 DATA = Path(__file__).parent / "data"
 RAW = str(DATA / "synthetic_raw.txt")
@@ -264,3 +268,35 @@ def test_stem_reads_stdin(monkeypatch, capsys):
     assert dispatch(["stem", *AFFIX_FLAGS]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
+
+
+def test_defaults_are_the_library_defaults():
+    run = RunConfig()
+    for cls in (TrainConfig, GaConfig):
+        for f in fields(cls):
+            assert getattr(run, f.name) == f.default, f"{cls.__name__}.{f.name}"
+    assert CrfModel.rho == TrainConfig.rho
+    assert inspect.signature(crossover).parameters["rate"].default == GaConfig.crossover_rate
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stem", "word"],
+        ["encode", "raw.txt"],
+        ["train", "data.col", "--template", "t.txt", "--model", "m.txt"],
+        ["tag", "data.col", "--model", "m.txt", "--out", "o.col"],
+        ["eval", "gold.col", "predicted.col"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_is_a_ga_search_flag_only(argv, capsys):
+    assert dispatch([*argv, "--seed", "7"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_config_file_keys_a_command_does_not_read_are_ignored(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 7\nrho = 2.0\npopulation_size = 4\n", encoding="utf-8")
+    assert dispatch(["stem", "--config", str(cfg), *AFFIX_FLAGS, "vdalzb"]) == 0
+    assert capsys.readouterr().out.startswith("vdalzb\tvdal")

@@ -382,7 +382,12 @@ def test_history_from_csv_rejects_bad_header():
 def test_history_from_csv_reports_line_numbers():
     header = "generation,best_fitness,mean_fitness,best_bits\n1,2.0,1.0,01\n"
     bad_rows = ("1,2.0,1.0,01x", "1,2.0,1.0,0292", "1,2.0,1.0,", "1,nan,1.0,01", "1,2.0,inf,01")
+    # generations must count 1, 2, 3, ... in row order
+    bad_rows += ("1,2.0,1.0,01", "0,2.0,1.0,01", "-1,2.0,1.0,01", "3,2.0,1.0,01")
     for bad_row in bad_rows:
         with pytest.raises(ParseError) as exc:
             history_from_csv(header + bad_row + "\n")
         assert "line 3" in str(exc.value), bad_row
+    with pytest.raises(ParseError) as exc:
+        history_from_csv("generation,best_fitness,mean_fitness,best_bits\n2,2.0,1.0,01\n")
+    assert "line 2" in str(exc.value)
