@@ -26,10 +26,10 @@ from .corpus import (
 )
 from .crf import TrainConfig, train, viterbi_decode
 from .errors import ConfigError, MweTagError
-from .evaluation import render_csv, render_text, score
+from .evaluation import DEFAULT_MODE, MODES, render_csv, render_text, score
 from .features import TokenRecord, encode_corpus, load_gazetteer
 from .ga import GaConfig, history_from_csv, history_to_csv, run_ga
-from .stemmer import load_affix_lexicon, read_text, stem
+from .stemmer import MIN_STEM, load_affix_lexicon, read_text, stem
 from .templates import (
     chromosome_to_template,
     default_catalogue,
@@ -48,9 +48,9 @@ class RunConfig:
     model: str | None = None
     out: str | None = None
     history: str | None = None
-    mode: str = "span"
+    mode: str = DEFAULT_MODE
     seed: int = GaConfig.seed
-    min_stem: int = 1
+    min_stem: int = MIN_STEM
     folds: int = GaConfig.folds
     max_generations: int = GaConfig.max_generations
     population_size: int = GaConfig.population_size
@@ -93,8 +93,8 @@ def load_run_config(source: str | Path | IO[str]) -> RunConfig:
                 f"line {lineno}: bad value {value!r} for {key!r}"
             ) from None
     config = replace(RunConfig(), **values)
-    if config.mode not in ("span", "token"):
-        raise ConfigError(f"mode must be 'span' or 'token', got {config.mode!r}")
+    if config.mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {config.mode!r}")
     return config
 
 
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("gold", help="gold column file")
     p.add_argument("predicted", help="predicted column file")
-    p.add_argument("--mode", choices=("span", "token"))
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--out", help="also write the report as CSV")
     p.set_defaults(func=_cmd_eval)
 
@@ -331,10 +331,7 @@ def dispatch(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, _merge_config(args))
-    except MweTagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MweTagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -177,7 +177,7 @@ def save_model(model: CrfModel, target: str | Path | IO[str]) -> None:
     lines = [
         f"{MODEL_MAGIC} {MODEL_VERSION}",
         f"rho {model.rho!r}",
-        "labels " + " ".join(_escape(label) for label in model.label_set.labels),
+        "labels " + " ".join(LABELS),
         f"template {len(template_lines)}",
         *template_lines,
         f"weights {len(model.weights)}",
@@ -191,6 +191,26 @@ def save_model(model: CrfModel, target: str | Path | IO[str]) -> None:
     _write_text(target, "\n".join(lines) + "\n")
 
 
+def _finite(text: str, what: str, line: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"bad {what} {text!r}", line=line) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{what} {text!r} is not finite", line=line)
+    return value
+
+
+def _count(text: str, what: str, line: int) -> int:
+    """A count in ASCII digits: int() alone would also take "²"-like digits."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(f"bad {what} count {text!r}", line=line)
+
+
 def load_model(source: str | Path | IO[str]) -> CrfModel:
     # split on "\n" alone: escaped keys may hold exotic line separators
     # (NEL, U+2028) that splitlines() would treat as line breaks
@@ -200,61 +220,48 @@ def load_model(source: str | Path | IO[str]) -> CrfModel:
 
     def need(index: int, what: str) -> str:
         if index >= len(lines):
-            raise ParseError(f"file ends before {what}", line=len(lines))
+            raise ParseError(f"file ends before {what}", line=index + 1)
         return lines[index]
 
-    head = need(0, "header").split(" ")
-    if len(head) != 2 or head[0] != MODEL_MAGIC:
-        raise ParseError(f"not a {MODEL_MAGIC} file", line=1)
-    if head[1] != MODEL_VERSION:
-        raise ParseError(f"unsupported model version {head[1]!r}", line=1)
+    def header(index: int, key: str) -> str:
+        """The value of the header line ``key value`` at index."""
+        found, _, value = need(index, key).partition(" ")
+        if found != key:
+            raise ParseError(f"expected '{key} <value>'", line=index + 1)
+        return value
 
-    rho_parts = need(1, "rho").split(" ")
-    if len(rho_parts) != 2 or rho_parts[0] != "rho":
-        raise ParseError("expected 'rho <value>'", line=2)
-    try:
-        rho = float(rho_parts[1])
-    except ValueError:
-        raise ParseError(f"bad rho value {rho_parts[1]!r}", line=2) from None
-    if not (math.isfinite(rho) and rho > 0):
-        raise ParseError(f"rho must be finite and positive, got {rho_parts[1]!r}", line=2)
+    version = header(0, MODEL_MAGIC)
+    if version != MODEL_VERSION:
+        raise ParseError(f"unsupported model version {version!r}", line=1)
+    rho = _finite(header(1, "rho"), "rho", line=2)
+    if rho <= 0:
+        raise ParseError(f"rho must be positive, got {rho!r}", line=2)
+    if header(2, "labels") != " ".join(LABELS):
+        raise ParseError(f"expected 'labels {' '.join(LABELS)}'", line=3)
 
-    label_line = need(2, "labels")
-    if not label_line.startswith("labels "):
-        raise ParseError("expected 'labels ...'", line=3)
-    labels = tuple(_unescape(part) for part in label_line[len("labels "):].split(" "))
-
-    count_line = need(3, "template").split(" ")
-    if len(count_line) != 2 or count_line[0] != "template" or not count_line[1].isdigit():
-        raise ParseError("expected 'template <line count>'", line=4)
-    n_template = int(count_line[1])
-    template_text = "\n".join(need(4 + i, "template body") for i in range(n_template))
-    template = parse_template(template_text)
+    n_template = _count(header(3, "template"), "template", line=4)
+    body = [need(4 + i, "template body") for i in range(n_template)]
+    for lineno, raw in enumerate(body, start=5):
+        if len((raw + "\n").splitlines()) != 1:  # parse_template would split it
+            raise ParseError(f"line break inside template line {raw!r}", line=lineno)
+    # blank lines in front keep parse_template's line numbers the file's
+    template = parse_template("\n" * 4 + "\n".join(body))
 
     at = 4 + n_template
-    weight_head = need(at, "weights").split(" ")
-    if len(weight_head) != 2 or weight_head[0] != "weights" or not weight_head[1].isdigit():
-        raise ParseError("expected 'weights <count>'", line=at + 1)
-    n_weights = int(weight_head[1])
+    n_weights = _count(header(at, "weights"), "weights", line=at + 1)
     weights: dict[tuple[str, str], float] = {}
-    for i in range(n_weights):
-        lineno = at + 2 + i
-        row = need(at + 1 + i, "weight row").split("\t")
+    for lineno in range(at + 2, at + 2 + n_weights):
+        row = need(lineno - 1, "weight row").split("\t")
         if len(row) != 3:
             raise ParseError("expected 'first<TAB>second<TAB>value'", line=lineno)
         key = (_unescape(row[0]), _unescape(row[1]))
+        if key[1] not in LABELS:
+            raise ParseError(f"weight label {key[1]!r} not in {LABELS}", line=lineno)
         if key in weights:
             raise ParseError(f"duplicate weight key {key!r}", line=lineno)
-        try:
-            weights[key] = float(row[2])
-        except ValueError:
-            raise ParseError(f"bad weight value {row[2]!r}", line=lineno) from None
-        if not math.isfinite(weights[key]):
-            raise ParseError(f"weight {row[2]!r} is not finite", line=lineno)
+        weights[key] = _finite(row[2], "weight", line=lineno)
     tail = at + 1 + n_weights
     for extra, raw in enumerate(lines[tail:], start=tail + 1):
         if raw.strip():
             raise ParseError(f"unexpected trailing content {raw!r}", line=extra)
-    return CrfModel(
-        label_set=LabelSet(labels=labels), template=template, weights=weights, rho=rho
-    )
+    return CrfModel(label_set=LabelSet(), template=template, weights=weights, rho=rho)

@@ -10,6 +10,7 @@ so identical inputs always produce bit-identical weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -24,24 +25,19 @@ WeightKey = tuple[str, str]  # (feature string, label) or (label_prev, label_cur
 
 @dataclass(frozen=True)
 class LabelSet:
-    labels: tuple[str, ...] = LABELS
+    """The tag inventory, always ``features.LABELS`` (O, B-MWE, I-MWE)."""
 
-    def __post_init__(self) -> None:
-        if not self.labels:
-            raise InputError("label set must be non-empty")
-        if len(set(self.labels)) != len(self.labels):
-            raise InputError("label set has duplicates")
-        if any(not lab for lab in self.labels):
-            raise InputError("labels must be non-empty strings")
+    labels = LABELS  # not a field: no other inventory can be built
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(LABELS)
 
-    def index(self, label: str) -> int:
+    @staticmethod
+    def index(label: str) -> int:
         try:
-            return self.labels.index(label)
+            return LABELS.index(label)
         except ValueError:
-            raise InputError(f"label {label!r} not in label set {self.labels}") from None
+            raise InputError(f"label {label!r} not in label set {LABELS}") from None
 
 
 @dataclass(frozen=True)
@@ -51,13 +47,13 @@ class TrainConfig:
     gradient_tolerance: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.rho <= 0:
-            raise InputError(f"rho must be positive, got {self.rho}")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise InputError(f"rho must be finite and positive, got {self.rho}")
         if self.max_iterations < 1:
             raise InputError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.gradient_tolerance <= 0:
+        if not (math.isfinite(self.gradient_tolerance) and self.gradient_tolerance > 0):
             raise InputError(
-                f"gradient_tolerance must be positive, got {self.gradient_tolerance}"
+                f"gradient_tolerance must be finite and positive, got {self.gradient_tolerance}"
             )
 
 
@@ -98,7 +94,7 @@ def build_lattice(model: CrfModel, rows: Sequence[TokenRecord]) -> Lattice:
     Gold labels are not read, so unlabeled rows score like labeled ones."""
     if not rows:
         raise InputError("cannot build a lattice for an empty sentence")
-    comp = _compile(model.template, None, [rows], vocab=None)
+    comp = _compile(model.template, [rows], vocab=None, gold=False)
     wu, wt = _weights_to_arrays(model, comp.vocab)
     return Lattice(log_unary=_unary_batch(wu, comp)[0], log_transition=wt)
 
@@ -133,7 +129,7 @@ def sequence_log_prob(
     if len(labels) != len(rows):
         raise InputError(f"sentence has {len(rows)} tokens but {len(labels)} labels")
     lattice = build_lattice(model, rows)
-    indices = [model.label_set.index(lab) for lab in labels]
+    indices = [LabelSet.index(lab) for lab in labels]
     return sequence_score(lattice, indices) - log_partition(lattice)
 
 
@@ -156,7 +152,7 @@ def decode_lattice(lattice: Lattice) -> list[int]:
 
 def viterbi_decode(model: CrfModel, rows: Sequence[TokenRecord]) -> list[str]:
     indices = decode_lattice(build_lattice(model, rows))
-    return [model.label_set.labels[i] for i in indices]
+    return [LABELS[i] for i in indices]
 
 
 def marginals(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
@@ -181,14 +177,14 @@ class _Compiled:
 
 def _compile(
     template: Template,
-    label_set: LabelSet | None,
     data: Sequence[Sequence[TokenRecord]],
     vocab: dict[str, int] | None,
+    gold: bool,
 ) -> _Compiled:
     """Intern feature strings to integer rows.  With a frozen vocab, unseen
     strings map to the extra index len(vocab), which carries zero weight.
-    A grown vocab numbers its strings 0..n-1 in insertion order.  Without a
-    label set the gold labels are not read."""
+    A grown vocab numbers its strings 0..n-1 in insertion order.  Without
+    gold the rows' labels are not read."""
     if not len(data):
         raise InputError("training data must contain at least one sentence")
     grow = vocab is None
@@ -199,13 +195,13 @@ def _compile(
     t_max = max(len(s) for s in data)
     n_macros = len(template.macros)
     feats = np.zeros((n_sents, t_max, n_macros), dtype=np.int32)
-    gold = np.zeros((n_sents, t_max), dtype=np.int32)
+    gold_ids = np.zeros((n_sents, t_max), dtype=np.int32)
     lengths = np.array([len(rows) for rows in data], dtype=np.int32)
     for n, rows in enumerate(data):
         if not len(rows):
             raise InputError(f"sentence {n} is empty")
-        if label_set is not None:
-            gold[n, : len(rows)] = [label_set.index(row.label) for row in rows]
+        if gold:
+            gold_ids[n, : len(rows)] = [LabelSet.index(row.label) for row in rows]
         ids = []
         for t in range(len(rows)):
             active = expand_macros(template, rows, t)
@@ -215,7 +211,7 @@ def _compile(
                 ids.append([vocab.get(s, unk) for s in active])
         feats[n, : len(rows)] = ids
     mask = np.arange(t_max) < lengths[:, None]
-    return _Compiled(vocab=vocab, feats=feats, gold=gold, mask=mask, lengths=lengths)
+    return _Compiled(vocab=vocab, feats=feats, gold=gold_ids, mask=mask, lengths=lengths)
 
 
 def _unary_batch(wu: np.ndarray, comp: _Compiled) -> np.ndarray:
@@ -365,7 +361,7 @@ def regularized_objective(
 ) -> float:
     """Conditional log-likelihood of data minus sum(w^2)/(2*rho^2) over the
     model's stored weights."""
-    comp = _compile(model.template, model.label_set, data, vocab=None)
+    comp = _compile(model.template, data, vocab=None, gold=True)
     wu, wt = _weights_to_arrays(model, comp.vocab)
     ll = _log_likelihood(comp, wu, wt, model.template.include_label_bigram)
     penalty = sum(w * w for w in model.weights.values()) / (2.0 * model.rho**2)
@@ -377,14 +373,12 @@ def gradient(
 ) -> dict[WeightKey, float]:
     """Partial derivatives of regularized_objective with respect to every
     weight touched by the data or present in the model."""
-    comp = _compile(model.template, model.label_set, data, vocab=None)
+    comp = _compile(model.template, data, vocab=None, gold=True)
     use_trans = model.template.include_label_bigram
     wu, wt = _weights_to_arrays(model, comp.vocab)
     gu, gt = _count_gradient(comp, wu, wt, use_trans)
     rho2 = model.rho**2
-    out = _arrays_to_weights(
-        model.label_set.labels, comp.vocab, gu - wu / rho2, gt - wt / rho2, use_trans
-    )
+    out = _arrays_to_weights(comp.vocab, gu - wu / rho2, gt - wt / rho2, use_trans)
     for key, w in model.weights.items():
         if key not in out:
             out[key] = -w / rho2
@@ -396,18 +390,16 @@ def _weights_to_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unary rows in vocab order and the transition matrix, zero wherever the
     weight map has no entry or the template disables transitions."""
-    labels = model.label_set.labels
-    L = len(labels)
+    L = len(LABELS)
     get = model.weights.get
-    wu = np.array([[get((s, lab), 0.0) for lab in labels] for s in vocab], dtype=float)
+    wu = np.array([[get((s, lab), 0.0) for lab in LABELS] for s in vocab], dtype=float)
     wt = np.zeros((L, L))
     if model.template.include_label_bigram:
-        wt = np.array([[get((a, b), 0.0) for b in labels] for a in labels], dtype=float)
+        wt = np.array([[get((a, b), 0.0) for b in LABELS] for a in LABELS], dtype=float)
     return wu.reshape(len(vocab), L), wt
 
 
 def _arrays_to_weights(
-    labels: Sequence[str],
     vocab: Mapping[str, int],
     wu: np.ndarray,
     wt: np.ndarray,
@@ -416,11 +408,11 @@ def _arrays_to_weights(
     """The weight map of (wu, wt): each feature's labels in vocab order, then
     every label pair when transitions are on."""
     weights = {
-        (s, lab): w for s, row in zip(vocab, wu.tolist()) for lab, w in zip(labels, row)
+        (s, lab): w for s, row in zip(vocab, wu.tolist()) for lab, w in zip(LABELS, row)
     }
     if use_trans:
         weights.update(
-            ((a, b), w) for a, row in zip(labels, wt.tolist()) for b, w in zip(labels, row)
+            ((a, b), w) for a, row in zip(LABELS, wt.tolist()) for b, w in zip(LABELS, row)
         )
     return weights
 
@@ -433,12 +425,11 @@ def train(
     """Fit weights on labeled sentences.  Deterministic: zero initialization
     and a fixed line-search policy, no randomness anywhere."""
     config = config or TrainConfig()
-    label_set = LabelSet()
-    comp = _compile(template, label_set, data, vocab=None)
+    comp = _compile(template, data, vocab=None, gold=True)
     use_trans = template.include_label_bigram
-    wu, wt = _ascend(comp, len(label_set), use_trans, config)
-    weights = _arrays_to_weights(label_set.labels, comp.vocab, wu, wt, use_trans)
-    return CrfModel(label_set=label_set, template=template, weights=weights, rho=config.rho)
+    wu, wt = _ascend(comp, len(LABELS), use_trans, config)
+    weights = _arrays_to_weights(comp.vocab, wu, wt, use_trans)
+    return CrfModel(label_set=LabelSet(), template=template, weights=weights, rho=config.rho)
 
 
 def train_and_decode(
@@ -450,14 +441,13 @@ def train_and_decode(
     """Train on one partition and decode another without materializing the
     weight map; feature strings unseen in training score zero."""
     config = config or TrainConfig()
-    label_set = LabelSet()
-    comp = _compile(template, label_set, train_sentences, vocab=None)
+    comp = _compile(template, train_sentences, vocab=None, gold=True)
     use_trans = template.include_label_bigram
-    wu, wt = _ascend(comp, len(label_set), use_trans, config)
-    test = _compile(template, None, test_sentences, vocab=comp.vocab)
-    e = _unary_batch(np.vstack([wu, np.zeros((1, len(label_set)))]), test)
+    wu, wt = _ascend(comp, len(LABELS), use_trans, config)
+    test = _compile(template, test_sentences, vocab=comp.vocab, gold=False)
+    e = _unary_batch(np.vstack([wu, np.zeros((1, len(LABELS)))]), test)
     predictions: list[list[str]] = []
     for n, t_n in enumerate(test.lengths.tolist()):
         path = decode_lattice(Lattice(log_unary=e[n, :t_n], log_transition=wt))
-        predictions.append([label_set.labels[i] for i in path])
+        predictions.append([LABELS[i] for i in path])
     return predictions

@@ -8,6 +8,9 @@ from typing import Sequence
 from .errors import InputError
 from .features import LABELS
 
+MODES = ("span", "token")
+DEFAULT_MODE = MODES[0]
+
 
 @dataclass(frozen=True, order=True)
 class Span:
@@ -64,8 +67,7 @@ class EvalReport:
 def score(
     gold: Sequence[Sequence[str]],
     predicted: Sequence[Sequence[str]],
-    mode: str = "span",
-    beta: float = 1.0,
+    mode: str = DEFAULT_MODE,
 ) -> EvalReport:
     """Compare label sequences sentence by sentence.
 
@@ -73,6 +75,8 @@ def score(
     mode counts positions where both sides agree on a non-O label.
     Percentages are full precision; rounding happens only in rendering.
     """
+    if mode not in MODES:
+        raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     if len(gold) != len(predicted):
         raise InputError(
             f"gold has {len(gold)} sentences, predicted has {len(predicted)}"
@@ -91,7 +95,7 @@ def score(
         correct = len(gold_spans & pred_spans)
         gold_total = len(gold_spans)
         predicted_total = len(pred_spans)
-    elif mode == "token":
+    else:
         correct = gold_total = predicted_total = 0
         for g, p in zip(gold, predicted):
             for gl, pl in zip(g, p):
@@ -102,8 +106,6 @@ def score(
                 gold_total += gl != "O"
                 predicted_total += pl != "O"
                 correct += gl != "O" and gl == pl
-    else:
-        raise InputError(f"mode must be 'span' or 'token', got {mode!r}")
 
     precision = 100.0 * correct / predicted_total if predicted_total else 0.0
     recall = 100.0 * correct / gold_total if gold_total else 0.0
@@ -114,7 +116,7 @@ def score(
         predicted_total=predicted_total,
         precision=precision,
         recall=recall,
-        f_measure=f_measure(precision, recall, beta),
+        f_measure=f_measure(precision, recall),
     )
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, InputError
-from .stemmer import AffixLexicon, read_text, stem
+from .stemmer import MIN_STEM, AffixLexicon, read_text, stem
 
 LABELS = ("O", "B-MWE", "I-MWE")
 
@@ -127,7 +127,7 @@ def build_token_record(
     lexicon: AffixLexicon,
     gazetteer: Gazetteer,
     frequencies: FrequencyTable,
-    min_stem: int = 1,
+    min_stem: int = MIN_STEM,
 ) -> TokenRecord:
     """Expand one token into its 22 feature columns.
 
@@ -168,7 +168,7 @@ def encode_corpus(
     lexicon: AffixLexicon,
     gazetteer: Gazetteer,
     frequencies: FrequencyTable | None = None,
-    min_stem: int = 1,
+    min_stem: int = MIN_STEM,
 ) -> list[Sentence]:
     """Expand (word, pos, label) sentences into token rows.
 

@@ -16,6 +16,8 @@ from typing import IO
 
 from .errors import ConfigError, InputError
 
+MIN_STEM = 1  # default shortest stem an affix may leave behind
+
 
 def _nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text)
@@ -105,7 +107,7 @@ def _check_min_stem(min_stem: int) -> None:
 
 
 def strip_prefixes(
-    word: str, lexicon: AffixLexicon, min_stem: int = 1
+    word: str, lexicon: AffixLexicon, min_stem: int = MIN_STEM
 ) -> tuple[str, tuple[str, ...]]:
     """Iteratively remove leading affixes; returns (stem, removed outermost first)."""
     _check_min_stem(min_stem)
@@ -124,7 +126,7 @@ def strip_prefixes(
 
 
 def strip_suffixes(
-    word: str, lexicon: AffixLexicon, min_stem: int = 1
+    word: str, lexicon: AffixLexicon, min_stem: int = MIN_STEM
 ) -> tuple[str, tuple[str, ...]]:
     """Iteratively remove trailing affixes; returns (stem, removed rightmost first)."""
     _check_min_stem(min_stem)
@@ -142,7 +144,7 @@ def strip_suffixes(
     return stem, tuple(removed)
 
 
-def stem(word: str, lexicon: AffixLexicon, min_stem: int = 1) -> StemResult:
+def stem(word: str, lexicon: AffixLexicon, min_stem: int = MIN_STEM) -> StemResult:
     """Prefix pass, then suffix pass on the remainder."""
     normalized = _check_word(word)
     after_prefixes, prefixes = strip_prefixes(normalized, lexicon, min_stem)

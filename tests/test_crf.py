@@ -30,6 +30,7 @@ from mwetag.crf import (
 )
 from mwetag.errors import InputError
 from mwetag.evaluation import score
+from mwetag.features import LABELS
 from mwetag.templates import chromosome_to_template, default_catalogue, parse_template
 from tests.conftest import make_record, make_separable_sentences
 
@@ -385,6 +386,12 @@ def test_label_set_rejects_unknown():
         LABELS3.index("Q")
 
 
+def test_label_set_is_the_bio_inventory():
+    assert LABELS3.labels == LABELS and len(LABELS3) == 3
+    with pytest.raises(TypeError):
+        LabelSet(("O", "X"))  # no inventory other than LABELS
+
+
 def test_lattice_shape_validation():
     with pytest.raises(InputError):
         Lattice(log_unary=np.zeros((2, 3)), log_transition=np.zeros((2, 2)))
@@ -402,3 +409,8 @@ def test_train_config_validation():
         TrainConfig(max_iterations=0)
     with pytest.raises(InputError):
         TrainConfig(gradient_tolerance=-1.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(InputError):
+            TrainConfig(rho=bad)
+        with pytest.raises(InputError):
+            TrainConfig(gradient_tolerance=bad)

@@ -175,11 +175,6 @@ def test_score_rejects_unknown_mode():
         score(GOLD, PRED, mode="char")
 
 
-def test_score_beta_passthrough():
-    report = score(GOLD, PRED, mode="span", beta=2.0)
-    assert report.f_measure == pytest.approx(f_measure(50.0, 50.0, 2.0))
-
-
 def test_report_percentages_are_consistent():
     report = score(GOLD, PRED, mode="span")
     assert report.precision * report.predicted_total == pytest.approx(
