@@ -36,6 +36,7 @@ from tests.conftest import make_record, make_separable_sentences
 
 LABELS3 = LabelSet()
 POS_TEMPLATE = parse_template("U00:%x[0,21]\nB\n")
+POS_UNIGRAM_TEMPLATE = parse_template("U00:%x[0,21]\n")  # no B: transitions stay zero
 WORD_POS_TEMPLATE = parse_template("U00:%x[0,0]\nU01:%x[0,21]\nU02:%x[-1,0]\nB\n")
 
 
@@ -248,10 +249,14 @@ def numeric_gradient(model, data, key, h=1e-5):
     return (hi - lo) / (2 * h)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_gradient_matches_finite_differences(seed):
+@pytest.mark.parametrize(
+    "seed, bigram",
+    [pytest.param(seed, True, id=str(seed)) for seed in range(5)]
+    + [pytest.param(seed, False, id=f"{seed}-no-B") for seed in range(5)],
+)
+def test_gradient_matches_finite_differences(seed, bigram):
     rng = np.random.default_rng(200 + seed)
-    model, sentence = random_model_and_sentence(rng, T=5)
+    model, sentence = random_model_and_sentence(rng, T=5, bigram=bigram)
     model = CrfModel(model.label_set, model.template, model.weights, rho=2.0)
     data = [sentence]
     grad = gradient(model, data)
@@ -312,13 +317,14 @@ def test_objective_penalty_term():
 
 def test_training_objective_is_non_decreasing_over_prefixes():
     data = tiny_corpus()
-    values = []
-    for k in range(1, 8):
-        config = TrainConfig(rho=5.0, max_iterations=k)
-        model = train(data, POS_TEMPLATE, config=config)
-        values.append(regularized_objective(model, data))
-    for earlier, later in zip(values, values[1:]):
-        assert later >= earlier - 1e-9
+    for template in (POS_TEMPLATE, POS_UNIGRAM_TEMPLATE):
+        values = []
+        for k in range(1, 8):
+            config = TrainConfig(rho=5.0, max_iterations=k)
+            model = train(data, template, config=config)
+            values.append(regularized_objective(model, data))
+        for earlier, later in zip(values, values[1:]):
+            assert later >= earlier - 1e-9
 
 
 def test_training_fits_separable_data():
@@ -334,9 +340,10 @@ def test_training_fits_separable_data():
 def test_training_is_deterministic():
     data = tiny_corpus()
     config = TrainConfig(rho=10.0, max_iterations=25)
-    first = train(data, POS_TEMPLATE, config=config)
-    second = train(data, POS_TEMPLATE, config=config)
-    assert first.weights == second.weights
+    for template in (POS_TEMPLATE, POS_UNIGRAM_TEMPLATE):
+        first = train(data, template, config=config)
+        second = train(data, template, config=config)
+        assert first.weights == second.weights
 
 
 def test_training_converges_by_gradient_norm():
@@ -355,14 +362,21 @@ def test_train_materializes_label_pairs_for_seen_features():
     assert ("O", "B-MWE") in model.weights
 
 
+def test_train_without_bigram_stores_no_label_pairs():
+    model = train(tiny_corpus(), POS_UNIGRAM_TEMPLATE, config=TrainConfig(max_iterations=5))
+    assert ("U00:O", "O") in model.weights
+    assert not [key for key in model.weights if key[0] in LABELS]
+
+
 def test_train_and_decode_matches_separate_calls():
     train_data = make_separable_sentences(10, seed=2)
     test_data = make_separable_sentences(4, seed=13)
     config = TrainConfig(rho=10.0, max_iterations=40)
-    fused = train_and_decode(train_data, test_data, POS_TEMPLATE, config=config)
-    model = train(train_data, POS_TEMPLATE, config=config)
-    split = [viterbi_decode(model, s) for s in test_data]
-    assert fused == split
+    for template in (POS_TEMPLATE, POS_UNIGRAM_TEMPLATE):
+        fused = train_and_decode(train_data, test_data, template, config=config)
+        model = train(train_data, template, config=config)
+        split = [viterbi_decode(model, s) for s in test_data]
+        assert fused == split
 
 
 def test_train_and_decode_handles_unseen_features():
