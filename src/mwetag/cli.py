@@ -25,11 +25,11 @@ from .corpus import (
     write_column_file,
 )
 from .crf import TrainConfig, train, viterbi_decode
-from .errors import ConfigError, MweTagError
+from .errors import ConfigError, InputError, MweTagError
 from .evaluation import DEFAULT_MODE, MODES, render_csv, render_text, score
 from .features import TokenRecord, encode_corpus, load_gazetteer
 from .ga import GaConfig, history_from_csv, history_to_csv, run_ga
-from .stemmer import MIN_STEM, load_affix_lexicon, read_text, stem
+from .stemmer import MIN_STEM, check_min_stem, load_affix_lexicon, read_text, stem
 from .templates import (
     chromosome_to_template,
     default_catalogue,
@@ -73,10 +73,24 @@ _SETTING_TYPES = {
 }
 
 
-def load_run_config(source: str | Path | IO[str]) -> RunConfig:
-    """Flat ``key = value`` file; unknown keys and bad values are errors."""
+def _settings_for(cls, config: RunConfig):
+    """Build a TrainConfig or GaConfig from the RunConfig fields it shares."""
+    return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
+
+
+def load_run_config(
+    source: str | Path | IO[str] | None, flags: dict[str, object] | None = None
+) -> RunConfig:
+    """The defaults, then a flat ``key = value`` file, then flags (setting
+    name to value), checked as a whole by the library's own checks.  Unknown
+    keys and bad values name their line, and so does a failed check: the
+    line of the first file key, in file order, whose value makes it fail.
+    Defaults and flags alone are checked first, so a flag can resolve a
+    pairing that a file value breaks."""
+    flags = flags or {}
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
+    lines: dict[str, int] = {}
+    for lineno, raw in enumerate(read_text(source).splitlines() if source else [], start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -92,20 +106,30 @@ def load_run_config(source: str | Path | IO[str]) -> RunConfig:
             raise ConfigError(
                 f"line {lineno}: bad value {value!r} for {key!r}"
             ) from None
-    config = replace(RunConfig(), **values)
-    if config.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {config.mode!r}")
+        lines[key] = lineno
+    keys = sorted((k for k in values if k not in flags), key=lines.__getitem__)
+    for n in range(len(keys) + 1):
+        config = replace(RunConfig(), **{k: values[k] for k in keys[:n]}, **flags)
+        try:
+            _settings_for(TrainConfig, config)
+            _settings_for(GaConfig, config)
+            check_min_stem(config.min_stem)
+            if config.mode not in MODES:
+                raise InputError(f"mode must be one of {MODES}, got {config.mode!r}")
+        except InputError as exc:
+            if not n:
+                raise
+            raise ConfigError(f"line {lines[keys[n - 1]]}: {exc}") from None
     return config
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    config = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
-    overrides = {
+    flags = {
         f.name: getattr(args, f.name)
         for f in fields(RunConfig)
         if getattr(args, f.name, None) is not None
     }
-    return replace(config, **overrides)
+    return load_run_config(getattr(args, "config", None), flags)
 
 
 def _packaged(name: str) -> io.StringIO:
@@ -130,11 +154,6 @@ def _require(config: RunConfig, *names: str) -> None:
         raise ConfigError(
             "missing required settings: " + ", ".join(f"--{n.replace('_', '-')}" for n in missing)
         )
-
-
-def _settings_for(cls, config: RunConfig):
-    """Build a TrainConfig or GaConfig from the RunConfig fields it shares."""
-    return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
 
 
 def _cmd_stem(args: argparse.Namespace, config: RunConfig) -> int:

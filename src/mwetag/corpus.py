@@ -87,10 +87,10 @@ def read_column_file(source: str | Path | IO[str], expect_labels: bool = True) -
                 raise ParseError(
                     f"expected {NUM_COLUMNS + 1} fields, got {len(fields)}", line=lineno
                 )
-            label = fields[NUM_COLUMNS]
-            if label not in LABELS:
-                raise ParseError(f"label {label!r} not in {LABELS}", line=lineno)
-            record = TokenRecord(columns=tuple(fields[:NUM_COLUMNS]), label=label)
+            try:
+                record = TokenRecord(tuple(fields[:NUM_COLUMNS]), label=fields[NUM_COLUMNS])
+            except InputError as exc:
+                raise ParseError(str(exc), line=lineno) from None
         else:
             if len(fields) not in (NUM_COLUMNS, NUM_COLUMNS + 1):
                 raise ParseError(

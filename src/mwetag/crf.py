@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -94,8 +94,7 @@ def build_lattice(model: CrfModel, rows: Sequence[TokenRecord]) -> Lattice:
     Gold labels are not read, so unlabeled rows score like labeled ones."""
     if not rows:
         raise InputError("cannot build a lattice for an empty sentence")
-    comp = _compile(model.template, [rows], vocab=None, gold=False)
-    wu, wt = _weights_to_arrays(model, comp.vocab)
+    comp, wu, wt = _bind(model, [rows], gold=False)
     return Lattice(log_unary=_unary_batch(wu, comp)[0], log_transition=wt)
 
 
@@ -173,6 +172,7 @@ class _Compiled:
     gold: np.ndarray  # (N, Tmax) int32, zero when compiled without labels
     mask: np.ndarray  # (N, Tmax) bool
     lengths: np.ndarray  # (N,) int32
+    bigram: bool  # the template's B line; without it the transitions stay zero
 
 
 def _compile(
@@ -211,7 +211,25 @@ def _compile(
                 ids.append([vocab.get(s, unk) for s in active])
         feats[n, : len(rows)] = ids
     mask = np.arange(t_max) < lengths[:, None]
-    return _Compiled(vocab=vocab, feats=feats, gold=gold_ids, mask=mask, lengths=lengths)
+    return _Compiled(
+        vocab, feats, gold_ids, mask, lengths, bigram=template.include_label_bigram
+    )
+
+
+def _bind(
+    model: CrfModel, data: Sequence[Sequence[TokenRecord]], gold: bool
+) -> tuple[_Compiled, np.ndarray, np.ndarray]:
+    """Compile data against its own feature strings and look the model's
+    weights up once per string: unary rows in vocab order and the transition
+    matrix, zero wherever the weight map has no entry or the template has no
+    B line."""
+    comp = _compile(model.template, data, vocab=None, gold=gold)
+    get = model.weights.get
+    wu = np.array([[get((s, lab), 0.0) for lab in LABELS] for s in comp.vocab], dtype=float)
+    wt = np.zeros((len(LABELS), len(LABELS)))
+    if comp.bigram:
+        wt = np.array([[get((a, b), 0.0) for b in LABELS] for a in LABELS], dtype=float)
+    return comp, wu.reshape(len(comp.vocab), len(LABELS)), wt
 
 
 def _unary_batch(wu: np.ndarray, comp: _Compiled) -> np.ndarray:
@@ -262,36 +280,23 @@ def _posteriors(
     return node, edge
 
 
-def _gold_total(
-    e: np.ndarray, wt: np.ndarray, gold: np.ndarray, mask: np.ndarray, use_trans: bool
-) -> float:
-    flat_e = e.reshape(-1, e.shape[2])[mask.ravel()]
-    flat_gold = gold.ravel()[mask.ravel()]
-    total = float(flat_e[np.arange(flat_e.shape[0]), flat_gold].sum())
-    if use_trans and e.shape[1] > 1:
-        valid = mask[:, 1:]
-        total += float(wt[gold[:, :-1][valid], gold[:, 1:][valid]].sum())
-    return total
-
-
-def _log_likelihood(
-    comp: _Compiled, wu: np.ndarray, wt: np.ndarray, use_trans: bool
-) -> float:
+def _log_likelihood(comp: _Compiled, wu: np.ndarray, wt: np.ndarray) -> float:
     """Conditional log-likelihood of the compiled gold labels."""
     e = _unary_batch(wu, comp)
-    ll = _gold_total(e, wt, comp.gold, comp.mask, use_trans)
+    flat_gold, valid = comp.gold[comp.mask], comp.mask[:, 1:]
+    ll = float(e[comp.mask][np.arange(len(flat_gold)), flat_gold].sum())
+    ll += float(wt[comp.gold[:, :-1][valid], comp.gold[:, 1:][valid]].sum())
     return ll - float(_log_z_batch(e, wt, comp.mask).sum())
 
 
 def _count_gradient(
-    comp: _Compiled, wu: np.ndarray, wt: np.ndarray, use_trans: bool
+    comp: _Compiled, wu: np.ndarray, wt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(empirical - expected) counts of the unary and transition weights."""
-    _, t_max, n_macros = comp.feats.shape
+    n_macros = comp.feats.shape[2]
     n_feats, L = wu.shape
     e = _unary_batch(wu, comp)
-    with_edges = use_trans and t_max > 1
-    node, edge = _posteriors(e, wt, comp.mask, with_edges)
+    node, edge = _posteriors(e, wt, comp.mask, with_edges=comp.bigram)
 
     flat_mask = comp.mask.ravel()
     flat_feats = comp.feats.reshape(-1, n_macros)[flat_mask]
@@ -304,35 +309,34 @@ def _count_gradient(
         np.add.at(gu, flat_feats.ravel(), -np.repeat(flat_node, n_macros, axis=0))
 
     gt = np.zeros((L, L))
-    if with_edges:
+    if comp.bigram:
         valid = comp.mask[:, 1:]
         np.add.at(gt, (comp.gold[:, :-1][valid], comp.gold[:, 1:][valid]), 1.0)
         gt -= edge.sum(axis=(0, 1))
     return gu, gt
 
 
-def _ascend(
-    comp: _Compiled, L: int, use_trans: bool, config: TrainConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient ascent with backtracking line search from zero init."""
-    n_feats = len(comp.vocab)
-    wu = np.zeros((n_feats, L))
-    wt = np.zeros((L, L))
+def _fit(
+    data: Sequence[Sequence[TokenRecord]], template: Template, config: TrainConfig
+) -> tuple[_Compiled, np.ndarray, np.ndarray]:
+    """Compile labeled data and fit its weights by gradient ascent with a
+    backtracking line search from zero init.  Without a B line the
+    transition gradient is zero, so the transitions stay zero."""
+    comp = _compile(template, data, vocab=None, gold=True)
+    wu = np.zeros((len(comp.vocab), len(LABELS)))
+    wt = np.zeros((len(LABELS), len(LABELS)))
     rho2 = config.rho**2
 
     def objective(wu_c: np.ndarray, wt_c: np.ndarray) -> float:
-        penalty = float((wu_c**2).sum())
-        if use_trans:
-            penalty += float((wt_c**2).sum())
-        return _log_likelihood(comp, wu_c, wt_c, use_trans) - penalty / (2.0 * rho2)
+        penalty = float((wu_c**2).sum()) + float((wt_c**2).sum())
+        return _log_likelihood(comp, wu_c, wt_c) - penalty / (2.0 * rho2)
 
     obj = objective(wu, wt)
     step = 1.0
     for _ in range(config.max_iterations):
-        gu, gt = _count_gradient(comp, wu, wt, use_trans)
+        gu, gt = _count_gradient(comp, wu, wt)
         gu -= wu / rho2
-        if use_trans:
-            gt -= wt / rho2
+        gt -= wt / rho2
         grad_norm = max(
             float(np.abs(gu).max()) if gu.size else 0.0, float(np.abs(gt).max())
         )
@@ -342,7 +346,7 @@ def _ascend(
         s = step * 2.0
         while True:
             wu_new = wu + s * gu
-            wt_new = wt + s * gt if use_trans else wt
+            wt_new = wt + s * gt
             obj_new = objective(wu_new, wt_new)
             if obj_new >= obj + 1e-4 * s * g2:  # Armijo sufficient increase
                 break
@@ -353,7 +357,7 @@ def _ascend(
         if s == 0.0:
             break
         wu, wt, obj, step = wu_new, wt_new, obj_new, s
-    return wu, wt
+    return comp, wu, wt
 
 
 def regularized_objective(
@@ -361,9 +365,8 @@ def regularized_objective(
 ) -> float:
     """Conditional log-likelihood of data minus sum(w^2)/(2*rho^2) over the
     model's stored weights."""
-    comp = _compile(model.template, data, vocab=None, gold=True)
-    wu, wt = _weights_to_arrays(model, comp.vocab)
-    ll = _log_likelihood(comp, wu, wt, model.template.include_label_bigram)
+    comp, wu, wt = _bind(model, data, gold=True)
+    ll = _log_likelihood(comp, wu, wt)
     penalty = sum(w * w for w in model.weights.values()) / (2.0 * model.rho**2)
     return ll - penalty
 
@@ -373,44 +376,25 @@ def gradient(
 ) -> dict[WeightKey, float]:
     """Partial derivatives of regularized_objective with respect to every
     weight touched by the data or present in the model."""
-    comp = _compile(model.template, data, vocab=None, gold=True)
-    use_trans = model.template.include_label_bigram
-    wu, wt = _weights_to_arrays(model, comp.vocab)
-    gu, gt = _count_gradient(comp, wu, wt, use_trans)
+    comp, wu, wt = _bind(model, data, gold=True)
+    gu, gt = _count_gradient(comp, wu, wt)
     rho2 = model.rho**2
-    out = _arrays_to_weights(comp.vocab, gu - wu / rho2, gt - wt / rho2, use_trans)
+    out = _arrays_to_weights(comp, gu - wu / rho2, gt - wt / rho2)
     for key, w in model.weights.items():
         if key not in out:
             out[key] = -w / rho2
     return out
 
 
-def _weights_to_arrays(
-    model: CrfModel, vocab: Mapping[str, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unary rows in vocab order and the transition matrix, zero wherever the
-    weight map has no entry or the template disables transitions."""
-    L = len(LABELS)
-    get = model.weights.get
-    wu = np.array([[get((s, lab), 0.0) for lab in LABELS] for s in vocab], dtype=float)
-    wt = np.zeros((L, L))
-    if model.template.include_label_bigram:
-        wt = np.array([[get((a, b), 0.0) for b in LABELS] for a in LABELS], dtype=float)
-    return wu.reshape(len(vocab), L), wt
-
-
 def _arrays_to_weights(
-    vocab: Mapping[str, int],
-    wu: np.ndarray,
-    wt: np.ndarray,
-    use_trans: bool,
+    comp: _Compiled, wu: np.ndarray, wt: np.ndarray
 ) -> dict[WeightKey, float]:
     """The weight map of (wu, wt): each feature's labels in vocab order, then
-    every label pair when transitions are on."""
+    every label pair when the template has a B line."""
     weights = {
-        (s, lab): w for s, row in zip(vocab, wu.tolist()) for lab, w in zip(LABELS, row)
+        (s, lab): w for s, row in zip(comp.vocab, wu.tolist()) for lab, w in zip(LABELS, row)
     }
-    if use_trans:
+    if comp.bigram:
         weights.update(
             ((a, b), w) for a, row in zip(LABELS, wt.tolist()) for b, w in zip(LABELS, row)
         )
@@ -425,10 +409,7 @@ def train(
     """Fit weights on labeled sentences.  Deterministic: zero initialization
     and a fixed line-search policy, no randomness anywhere."""
     config = config or TrainConfig()
-    comp = _compile(template, data, vocab=None, gold=True)
-    use_trans = template.include_label_bigram
-    wu, wt = _ascend(comp, len(LABELS), use_trans, config)
-    weights = _arrays_to_weights(comp.vocab, wu, wt, use_trans)
+    weights = _arrays_to_weights(*_fit(data, template, config))
     return CrfModel(label_set=LabelSet(), template=template, weights=weights, rho=config.rho)
 
 
@@ -440,10 +421,7 @@ def train_and_decode(
 ) -> list[list[str]]:
     """Train on one partition and decode another without materializing the
     weight map; feature strings unseen in training score zero."""
-    config = config or TrainConfig()
-    comp = _compile(template, train_sentences, vocab=None, gold=True)
-    use_trans = template.include_label_bigram
-    wu, wt = _ascend(comp, len(LABELS), use_trans, config)
+    comp, wu, wt = _fit(train_sentences, template, config or TrainConfig())
     test = _compile(template, test_sentences, vocab=comp.vocab, gold=False)
     e = _unary_batch(np.vstack([wu, np.zeros((1, len(LABELS)))]), test)
     predictions: list[list[str]] = []

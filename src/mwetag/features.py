@@ -39,7 +39,8 @@ COL_POS = 21
 
 @dataclass(frozen=True)
 class TokenRecord:
-    """One token row: 22 feature columns (as written to file) plus its label."""
+    """One token row: 22 feature columns (as written to file) plus its label,
+    one of LABELS."""
 
     columns: tuple[str, ...]
     label: str = "O"
@@ -49,6 +50,8 @@ class TokenRecord:
             raise InputError(
                 f"token row needs {NUM_COLUMNS} feature columns, got {len(self.columns)}"
             )
+        if self.label not in LABELS:
+            raise InputError(f"label {self.label!r} not in {LABELS}")
 
 
 Sentence = tuple[TokenRecord, ...]
@@ -131,14 +134,13 @@ def build_token_record(
 ) -> TokenRecord:
     """Expand one token into its 22 feature columns.
 
-    prev_word/next_word are None at sentence boundaries, which zeroes the
-    gazetteer flags.  Suffix slots hold at most the first SUFFIX_SLOTS
+    The word is NFC-normalized; prev_word/next_word are looked up in the
+    gazetteer as given, and are None at sentence boundaries, which zeroes
+    the gazetteer flags.  Suffix slots hold at most the first SUFFIX_SLOTS
     stripped suffixes, rightmost-stripped first, padded with "0".
     """
-    if label not in LABELS:
-        raise InputError(f"label {label!r} not in {LABELS}")
-    word = unicodedata.normalize("NFC", word)
     result = stem(word, lexicon, min_stem)
+    word = result.original
 
     slots = list(result.stripped_suffixes[:SUFFIX_SLOTS])
     slots += [ABSENT] * (SUFFIX_SLOTS - len(slots))
@@ -172,35 +174,32 @@ def encode_corpus(
 ) -> list[Sentence]:
     """Expand (word, pos, label) sentences into token rows.
 
-    When no frequency table is given, one is built from these sentences;
-    pass a prebuilt table to encode held-out data against training counts.
+    Words are NFC-normalized before they are counted or looked up.  When no
+    frequency table is given, one is built from these sentences; pass a
+    prebuilt table to encode held-out data against training counts.
     """
+    words = [[unicodedata.normalize("NFC", w) for w, _, _ in s] for s in raw_sentences]
     if frequencies is None:
-        frequencies = build_frequency_table(
-            w for sentence in raw_sentences for w, _, _ in sentence
-        )
+        frequencies = build_frequency_table(w for sentence in words for w in sentence)
     encoded: list[Sentence] = []
-    for s_idx, sentence in enumerate(raw_sentences):
-        words = [w for w, _, _ in sentence]
+    for s_idx, (sentence, ws) in enumerate(zip(raw_sentences, words)):
         rows = []
-        for t, (word, pos, label) in enumerate(sentence):
-            if label not in LABELS:
-                raise InputError(
-                    f"sentence {s_idx + 1}, token {t + 1}: "
-                    f"label {label!r} not in {LABELS}"
+        for t, (_, pos, label) in enumerate(sentence):
+            try:
+                rows.append(
+                    build_token_record(
+                        ws[t],
+                        pos,
+                        label,
+                        ws[t - 1] if t > 0 else None,
+                        ws[t + 1] if t + 1 < len(ws) else None,
+                        lexicon,
+                        gazetteer,
+                        frequencies,
+                        min_stem,
+                    )
                 )
-            rows.append(
-                build_token_record(
-                    word,
-                    pos,
-                    label,
-                    words[t - 1] if t > 0 else None,
-                    words[t + 1] if t + 1 < len(words) else None,
-                    lexicon,
-                    gazetteer,
-                    frequencies,
-                    min_stem,
-                )
-            )
+            except InputError as exc:
+                raise InputError(f"sentence {s_idx + 1}, token {t + 1}: {exc}") from None
         encoded.append(tuple(rows))
     return encoded

@@ -67,8 +67,8 @@ class GaConfig:
             raise InputError("max_generations must be >= 1")
         if self.stagnation_generations < 1:
             raise InputError("stagnation_generations must be >= 1")
-        if self.folds < 1:
-            raise InputError("folds must be >= 1")
+        if self.folds < 2:  # one fold would leave nothing to train on
+            raise InputError(f"folds must be >= 2, got {self.folds}")
 
 
 @dataclass(frozen=True)

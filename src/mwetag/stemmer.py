@@ -101,54 +101,52 @@ def _check_word(word: str) -> str:
     return _nfc(word)
 
 
-def _check_min_stem(min_stem: int) -> None:
+def check_min_stem(min_stem: int) -> None:
     if min_stem < 1:
         raise InputError(f"min_stem must be >= 1, got {min_stem}")
 
 
-def strip_prefixes(
-    word: str, lexicon: AffixLexicon, min_stem: int = MIN_STEM
+def _strip(
+    stem: str, affixes: tuple[str, ...], min_stem: int, leading: bool
 ) -> tuple[str, tuple[str, ...]]:
-    """Iteratively remove leading affixes; returns (stem, removed outermost first)."""
-    _check_min_stem(min_stem)
-    stem = _check_word(word)
+    """One pass over one edge of a normalized word; returns (stem, removed
+    in removal order)."""
+    at_edge = str.startswith if leading else str.endswith
     removed: list[str] = []
     i = 0
-    while i < len(lexicon.prefixes):
-        p = lexicon.prefixes[i]
-        if stem.startswith(p) and len(stem) - len(p) >= min_stem:
-            removed.append(p)
-            stem = stem[len(p):]
+    while i < len(affixes):
+        a = affixes[i]
+        if at_edge(stem, a) and len(stem) - len(a) >= min_stem:
+            removed.append(a)
+            stem = stem[len(a):] if leading else stem[: len(stem) - len(a)]
             i = 0  # restart the scan after every removal
         else:
             i += 1
     return stem, tuple(removed)
 
 
+def strip_prefixes(
+    word: str, lexicon: AffixLexicon, min_stem: int = MIN_STEM
+) -> tuple[str, tuple[str, ...]]:
+    """Iteratively remove leading affixes; returns (stem, removed outermost first)."""
+    check_min_stem(min_stem)
+    return _strip(_check_word(word), lexicon.prefixes, min_stem, leading=True)
+
+
 def strip_suffixes(
     word: str, lexicon: AffixLexicon, min_stem: int = MIN_STEM
 ) -> tuple[str, tuple[str, ...]]:
     """Iteratively remove trailing affixes; returns (stem, removed rightmost first)."""
-    _check_min_stem(min_stem)
-    stem = _check_word(word)
-    removed: list[str] = []
-    i = 0
-    while i < len(lexicon.suffixes):
-        s = lexicon.suffixes[i]
-        if stem.endswith(s) and len(stem) - len(s) >= min_stem:
-            removed.append(s)
-            stem = stem[: len(stem) - len(s)]  # cut by length from the right
-            i = 0
-        else:
-            i += 1
-    return stem, tuple(removed)
+    check_min_stem(min_stem)
+    return _strip(_check_word(word), lexicon.suffixes, min_stem, leading=False)
 
 
 def stem(word: str, lexicon: AffixLexicon, min_stem: int = MIN_STEM) -> StemResult:
     """Prefix pass, then suffix pass on the remainder."""
     normalized = _check_word(word)
-    after_prefixes, prefixes = strip_prefixes(normalized, lexicon, min_stem)
-    final, suffixes = strip_suffixes(after_prefixes, lexicon, min_stem)
+    check_min_stem(min_stem)
+    after_prefixes, prefixes = _strip(normalized, lexicon.prefixes, min_stem, leading=True)
+    final, suffixes = _strip(after_prefixes, lexicon.suffixes, min_stem, leading=False)
     return StemResult(
         original=normalized,
         stem=final,

@@ -300,3 +300,46 @@ def test_config_file_keys_a_command_does_not_read_are_ignored(tmp_path, capsys):
     cfg.write_text("seed = 7\nrho = 2.0\npopulation_size = 4\n", encoding="utf-8")
     assert dispatch(["stem", "--config", str(cfg), *AFFIX_FLAGS, "vdalzb"]) == 0
     assert capsys.readouterr().out.startswith("vdalzb\tvdal")
+
+
+@pytest.mark.parametrize(
+    "setting, key",
+    [("rho = nan", "rho"), ("min_stem = 0", "min_stem"), ("mode = bogus", "mode")],
+    ids=["rho", "min_stem", "mode"],
+)
+def test_config_file_values_are_checked_at_their_line(tmp_path, capsys, setting, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# run\nseed = 3\n{setting}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"line 3: {key}"):
+        load_run_config(cfg)
+    assert dispatch(["stem", "--config", str(cfg), *AFFIX_FLAGS, "vdalzb"]) == 1
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_config_file_pairing_a_flag_resolves(tmp_path, encoded_corpus, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("population_size = 2\n", encoding="utf-8")
+    # the default elitism_count (2) needs a larger population
+    with pytest.raises(ConfigError, match="line 1: elitism_count"):
+        load_run_config(cfg)
+    assert load_run_config(cfg, {"elitism_count": 0}).population_size == 2
+    code = dispatch(
+        [
+            "ga-search", str(encoded_corpus), "--config", str(cfg), "--elitism", "0",
+            "--generations", "1", "--folds", "2", "--max-iterations", "3",
+            "--out", str(tmp_path / "best.txt"), "--history", str(tmp_path / "h.csv"),
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+
+
+def test_ga_search_needs_two_folds(tmp_path, encoded_corpus, capsys):
+    code = dispatch(
+        [
+            "ga-search", str(encoded_corpus), "--folds", "1",
+            "--out", str(tmp_path / "best.txt"), "--history", str(tmp_path / "h.csv"),
+        ]
+    )
+    assert code == 1
+    assert "folds" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import unicodedata
 
 import pytest
 from hypothesis import given
@@ -169,6 +170,11 @@ def test_record_rejects_wrong_width():
         TokenRecord(columns=("a",) * 5)
 
 
+def test_record_rejects_unknown_label():
+    with pytest.raises(InputError):
+        TokenRecord(columns=("a",) * NUM_COLUMNS, label="Q")
+
+
 words = st.text(alphabet="abdeginrsuw", min_size=1, max_size=12)
 
 
@@ -217,6 +223,24 @@ def test_encode_corpus_reports_bad_label_position():
         encode_corpus(raw, LEXICON, GAZETTEER)
     message = str(exc.value)
     assert "2" in message and "Q" in message
+
+
+def test_encode_corpus_reports_empty_word_position():
+    with pytest.raises(InputError) as exc:
+        encode_corpus([[("", "NN", "O")]], LEXICON, GAZETTEER)
+    assert "sentence 1, token 1" in str(exc.value)
+
+
+def test_encode_corpus_nfd_and_nfc_input_encode_alike():
+    gazetteer = Gazetteer(salutations=frozenset({"Señor"}), followups=frozenset({"Café"}))
+    nfc = [[("Señor", "NN", "O"), ("Café", "NN", "B-MWE"), ("Café", "NN", "I-MWE")]] * 50
+    nfd = [[(unicodedata.normalize("NFD", w), p, lab) for w, p, lab in s] for s in nfc]
+    assert nfd != nfc
+    encoded = encode_corpus(nfc, LEXICON, gazetteer)
+    assert encoded == encode_corpus(nfd, LEXICON, gazetteer)
+    first = encoded[0]
+    assert first[1].columns[COL_SALUTATION] == "1" and first[0].columns[COL_FOLLOWUP] == "1"
+    assert first[1].columns[COL_FREQUENCY] == "1"  # 100 occurrences
 
 
 def test_load_gazetteer_reads_both_lists():

@@ -280,6 +280,8 @@ def test_ga_config_validation():
         GaConfig(elitism_count=20, population_size=20)
     with pytest.raises(InputError):
         GaConfig(folds=0)
+    with pytest.raises(InputError, match="folds"):
+        GaConfig(folds=1)  # every training partition would be empty
 
 
 def small_catalogue():
