@@ -78,15 +78,27 @@ def _settings_for(cls, config: RunConfig):
     return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
 
 
+def _check_settings(config: RunConfig) -> InputError | None:
+    """The library's own checks on every setting; the first failure, if any."""
+    try:
+        _settings_for(TrainConfig, config)
+        _settings_for(GaConfig, config)
+        check_min_stem(config.min_stem)
+        if config.mode not in MODES:
+            raise InputError(f"mode must be one of {MODES}, got {config.mode!r}")
+    except InputError as exc:
+        return exc
+    return None
+
+
 def load_run_config(
     source: str | Path | IO[str] | None, flags: dict[str, object] | None = None
 ) -> RunConfig:
     """The defaults, then a flat ``key = value`` file, then flags (setting
-    name to value), checked as a whole by the library's own checks.  Unknown
-    keys and bad values name their line, and so does a failed check: the
-    line of the first file key, in file order, whose value makes it fail.
-    Defaults and flags alone are checked first, so a flag can resolve a
-    pairing that a file value breaks."""
+    name to value), checked once as a whole by the library's own checks.
+    Unknown keys and bad values name their line, and so does a failed check:
+    the line of the first file key, in file order, whose reset to its
+    default removes the failure."""
     flags = flags or {}
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
@@ -103,24 +115,18 @@ def load_run_config(
         try:
             values[key] = _SETTING_TYPES[key](value)
         except ValueError:
-            raise ConfigError(
-                f"line {lineno}: bad value {value!r} for {key!r}"
-            ) from None
+            raise ConfigError(f"line {lineno}: bad value {value!r} for {key!r}") from None
         lines[key] = lineno
-    keys = sorted((k for k in values if k not in flags), key=lines.__getitem__)
-    for n in range(len(keys) + 1):
-        config = replace(RunConfig(), **{k: values[k] for k in keys[:n]}, **flags)
-        try:
-            _settings_for(TrainConfig, config)
-            _settings_for(GaConfig, config)
-            check_min_stem(config.min_stem)
-            if config.mode not in MODES:
-                raise InputError(f"mode must be one of {MODES}, got {config.mode!r}")
-        except InputError as exc:
-            if not n:
-                raise
-            raise ConfigError(f"line {lines[keys[n - 1]]}: {exc}") from None
-    return config
+    defaults = RunConfig()
+    config = replace(defaults, **{**values, **flags})
+    error = _check_settings(config)
+    if error is None:
+        return config
+    for key in sorted(values.keys() - flags.keys(), key=lines.__getitem__):
+        reset = _check_settings(replace(config, **{key: getattr(defaults, key)}))
+        if reset is None or str(reset) != str(error):
+            raise ConfigError(f"line {lines[key]}: {error}")
+    raise error
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:

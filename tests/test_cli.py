@@ -316,6 +316,33 @@ def test_config_file_values_are_checked_at_their_line(tmp_path, capsys, setting,
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "population_size = 2\nelitism_count = 0\n",
+        "elitism_count = 0\npopulation_size = 2\n",
+        "elitism_count = 25\npopulation_size = 30\n",
+        "population_size = 30\nelitism_count = 25\n",
+    ],
+    ids=["small-first", "small-last", "large-first", "large-last"],
+)
+def test_config_file_pairing_valid_as_a_whole_loads(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    config = load_run_config(cfg)
+    assert (config.population_size, config.elitism_count) in {(2, 0), (30, 25)}
+    assert dispatch(["stem", "--config", str(cfg), *AFFIX_FLAGS, "vdalzb"]) == 0
+    assert capsys.readouterr().out.startswith("vdalzb\tvdal")
+
+
+def test_config_file_two_bad_values_name_the_failing_line(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("min_stem = 0\nrho = nan\n", encoding="utf-8")
+    # rho is checked first; the bad min_stem must not hide its line
+    with pytest.raises(ConfigError, match="line 2: rho"):
+        load_run_config(cfg)
+
+
 def test_config_file_pairing_a_flag_resolves(tmp_path, encoded_corpus, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("population_size = 2\n", encoding="utf-8")
