@@ -143,6 +143,37 @@ def test_viterbi_tie_break_prefers_lowest_index():
     assert decode_lattice(lattice) == [0, 0, 0]
 
 
+def reference_viterbi(lattice: Lattice) -> list[int]:
+    """A plain per-sentence Viterbi; ties resolve to the lowest index."""
+    unary, trans = lattice.log_unary, lattice.log_transition
+    T, L = unary.shape
+    delta = unary[0].copy()
+    back = np.zeros((T, L), dtype=np.int64)
+    for t in range(1, T):
+        scores = delta[:, None] + trans
+        back[t] = np.argmax(scores, axis=0)  # first max = lowest label index
+        delta = scores[back[t], np.arange(L)] + unary[t]
+    path = [int(np.argmax(delta))]
+    for t in range(T - 1, 0, -1):
+        path.append(int(back[t, path[-1]]))
+    path.reverse()
+    return path
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_decode_lattice_matches_reference_viterbi(seed):
+    """Small integer scores tie often, so the tie-breaking must agree too."""
+    rng = np.random.default_rng(300 + seed)
+    for T in range(1, 7):
+        for with_transitions in (True, False):
+            trans = rng.integers(-1, 2, size=(3, 3)).astype(float)
+            lattice = Lattice(
+                log_unary=rng.integers(-1, 2, size=(T, 3)).astype(float),
+                log_transition=trans if with_transitions else np.zeros((3, 3)),
+            )
+            assert decode_lattice(lattice) == reference_viterbi(lattice)
+
+
 def test_zero_weight_model_decodes_outside():
     model = CrfModel(label_set=LABELS3, template=POS_TEMPLATE, weights={})
     sentence = tuple(make_record(word=f"w{i}") for i in range(4))
