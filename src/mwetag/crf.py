@@ -115,11 +115,7 @@ def sequence_score(lattice: Lattice, indices: Sequence[int]) -> float:
         raise InputError(f"expected {T} labels, got {len(indices)}")
     if any(not 0 <= i < L for i in indices):
         raise InputError("label index out of range")
-    total = float(lattice.log_unary[np.arange(T), indices].sum())
-    if T > 1:
-        idx = np.asarray(indices)
-        total += float(lattice.log_transition[idx[:-1], idx[1:]].sum())
-    return total
+    return _path_score(*_as_batch(lattice), np.asarray([indices]))
 
 
 def sequence_log_prob(
@@ -134,19 +130,7 @@ def sequence_log_prob(
 
 def decode_lattice(lattice: Lattice) -> list[int]:
     """Viterbi path as label indices; ties resolve to the lowest index."""
-    unary, trans = lattice.log_unary, lattice.log_transition
-    T, L = unary.shape
-    delta = unary[0].copy()
-    back = np.zeros((T, L), dtype=np.int64)
-    for t in range(1, T):
-        scores = delta[:, None] + trans
-        back[t] = np.argmax(scores, axis=0)  # first max = lowest label index
-        delta = scores[back[t], np.arange(L)] + unary[t]
-    path = [int(np.argmax(delta))]
-    for t in range(T - 1, 0, -1):
-        path.append(int(back[t, path[-1]]))
-    path.reverse()
-    return path
+    return _viterbi_batch(*_as_batch(lattice))[0]
 
 
 def viterbi_decode(model: CrfModel, rows: Sequence[TokenRecord]) -> list[str]:
@@ -161,8 +145,8 @@ def marginals(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Compiled batch core: the one scoring, normalising and posterior path, shared
-# by tagging, training, cross-validation, the objective and the gradient.
+# Compiled batch core: one scoring, normalising, decoding and posterior path
+# for tagging, training, cross-validation, the objective and the gradient.
 
 
 @dataclass
@@ -171,7 +155,6 @@ class _Compiled:
     feats: np.ndarray  # (N, Tmax, M) int32 feature rows, pad positions zeroed
     gold: np.ndarray  # (N, Tmax) int32, zero when compiled without labels
     mask: np.ndarray  # (N, Tmax) bool
-    lengths: np.ndarray  # (N,) int32
     bigram: bool  # the template's B line; without it the transitions stay zero
 
 
@@ -211,9 +194,7 @@ def _compile(
                 ids.append([vocab.get(s, unk) for s in active])
         feats[n, : len(rows)] = ids
     mask = np.arange(t_max) < lengths[:, None]
-    return _Compiled(
-        vocab, feats, gold_ids, mask, lengths, bigram=template.include_label_bigram
-    )
+    return _Compiled(vocab, feats, gold_ids, mask, bigram=template.include_label_bigram)
 
 
 def _bind(
@@ -236,14 +217,15 @@ def _unary_batch(wu: np.ndarray, comp: _Compiled) -> np.ndarray:
     return wu[comp.feats].sum(axis=2)
 
 
-def _forward_batch(e: np.ndarray, wt: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _forward_batch(e: np.ndarray, wt: np.ndarray, mask: np.ndarray, reduce=_lse) -> np.ndarray:
+    """The forward recursion: alpha with log-sum-exp, Viterbi scores with max."""
     n, t_max, L = e.shape
     alpha = np.empty((n, t_max, L))
     alpha[:, 0] = e[:, 0]
     for t in range(1, t_max):
-        nxt = _lse(alpha[:, t - 1][:, :, None] + wt[None], axis=1) + e[:, t]
+        nxt = reduce(alpha[:, t - 1, :, None] + wt, axis=1) + e[:, t]
         # finished sentences keep their final alpha so alpha[:, -1] is usable
-        alpha[:, t] = np.where(mask[:, t][:, None], nxt, alpha[:, t - 1])
+        alpha[:, t] = np.where(mask[:, t, None], nxt, alpha[:, t - 1])
     return alpha
 
 
@@ -258,6 +240,28 @@ def _backward_batch(e: np.ndarray, wt: np.ndarray, mask: np.ndarray) -> np.ndarr
 
 def _log_z_batch(e: np.ndarray, wt: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return _lse(_forward_batch(e, wt, mask)[:, -1], axis=1)
+
+
+def _viterbi_batch(e: np.ndarray, wt: np.ndarray, mask: np.ndarray) -> list[list[int]]:
+    """Best label paths: the max forward recursion, every back-pointer at once
+    (first max = lowest label index), then a backtrace over each length."""
+    delta = _forward_batch(e, wt, mask, reduce=np.maximum.reduce)
+    back = np.argmax(delta[:, :-1, :, None] + wt, axis=2).tolist()
+    paths = []
+    for n, last in enumerate(np.argmax(delta[:, -1], axis=1).tolist()):
+        path = [last]
+        for t in range(int(mask[n].sum()) - 2, -1, -1):
+            path.append(back[n][t][path[-1]])
+        paths.append(path[::-1])
+    return paths
+
+
+def _path_score(e: np.ndarray, wt: np.ndarray, mask: np.ndarray, paths: np.ndarray) -> float:
+    """Total score of the label paths (N, Tmax): their unary entries at the
+    unmasked positions plus the transitions between consecutive labels."""
+    flat, valid = paths[mask], mask[:, 1:]
+    total = float(e[mask][np.arange(len(flat)), flat].sum())
+    return total + float(wt[paths[:, :-1][valid], paths[:, 1:][valid]].sum())
 
 
 def _posteriors(
@@ -283,9 +287,7 @@ def _posteriors(
 def _log_likelihood(comp: _Compiled, wu: np.ndarray, wt: np.ndarray) -> float:
     """Conditional log-likelihood of the compiled gold labels."""
     e = _unary_batch(wu, comp)
-    flat_gold, valid = comp.gold[comp.mask], comp.mask[:, 1:]
-    ll = float(e[comp.mask][np.arange(len(flat_gold)), flat_gold].sum())
-    ll += float(wt[comp.gold[:, :-1][valid], comp.gold[:, 1:][valid]].sum())
+    ll = _path_score(e, wt, comp.mask, comp.gold)
     return ll - float(_log_z_batch(e, wt, comp.mask).sum())
 
 
@@ -424,8 +426,4 @@ def train_and_decode(
     comp, wu, wt = _fit(train_sentences, template, config or TrainConfig())
     test = _compile(template, test_sentences, vocab=comp.vocab, gold=False)
     e = _unary_batch(np.vstack([wu, np.zeros((1, len(LABELS)))]), test)
-    predictions: list[list[str]] = []
-    for n, t_n in enumerate(test.lengths.tolist()):
-        path = decode_lattice(Lattice(log_unary=e[n, :t_n], log_transition=wt))
-        predictions.append([LABELS[i] for i in path])
-    return predictions
+    return [[LABELS[i] for i in path] for path in _viterbi_batch(e, wt, test.mask)]

@@ -16,6 +16,7 @@ from mwetag.crf import (
     TrainConfig,
     _log_z_batch,
     _posteriors,
+    _viterbi_batch,
     build_lattice,
     decode_lattice,
     gradient,
@@ -236,8 +237,9 @@ def test_marginal_consistency():
 
 @pytest.mark.parametrize("bigram", [True, False])
 def test_batch_padding_leaves_each_sentence_unchanged(bigram):
-    """A sentence padded into a batch with longer ones gets the same log Z
-    and marginals as on its own, and exactly zero posteriors at padding."""
+    """A sentence padded into a batch with longer ones gets the same log Z,
+    marginals and Viterbi path as on its own, and exactly zero posteriors at
+    padding."""
     rng = np.random.default_rng(17)
     lengths = (1, 3, 6, 2)
     # one shared transition matrix: each sentence's own model differs
@@ -254,12 +256,14 @@ def test_batch_padding_leaves_each_sentence_unchanged(bigram):
         mask[n, : lengths[n]] = True
     log_z = _log_z_batch(e, trans, mask)
     node, edge = _posteriors(e, trans, mask, with_edges=True)
+    paths = _viterbi_batch(e, trans, mask)
     for n, (T, lat) in enumerate(zip(lengths, lattices)):
         own_node, own_edge = marginals(lat)
         assert log_z[n] == pytest.approx(log_partition(lat), rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(node[n, :T], own_node, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(edge[n, : T - 1], own_edge, rtol=1e-12, atol=1e-15)
         assert not node[n, T:].any() and not edge[n, T - 1 :].any()
+        assert paths[n] == reference_viterbi(lat)
 
 
 def tiny_corpus():
