@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,9 +49,11 @@ class Corpus:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never observe a
-    partially written file."""
+    partially written file.  The file gets mode 0o666 less the umask, as
+    open() would give it."""
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".")
+    tmp_name = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
+    fd = os.open(tmp_name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -109,9 +110,9 @@ def write_column_file(
     target: str | Path | IO[str],
 ) -> None:
     blocks = []
-    for s_idx, sentence in enumerate(corpus):
+    for s_idx, sentence in enumerate(corpus, start=1):
         lines = []
-        for t, record in enumerate(sentence):
+        for t, record in enumerate(sentence, start=1):
             fields = record.columns + (record.label,)
             for value in fields:
                 if not value or any(ch.isspace() for ch in value):
@@ -257,6 +258,8 @@ def load_model(source: str | Path | IO[str]) -> CrfModel:
         key = (_unescape(row[0]), _unescape(row[1]))
         if key[1] not in LABELS:
             raise ParseError(f"weight label {key[1]!r} not in {LABELS}", line=lineno)
+        if key[0] in LABELS and not template.include_label_bigram:
+            raise ParseError(f"label pair {key!r} but the template has no B line", line=lineno)
         if key in weights:
             raise ParseError(f"duplicate weight key {key!r}", line=lineno)
         weights[key] = _finite(row[2], "weight", line=lineno)

@@ -58,10 +58,10 @@ class StemResult:
 
 
 def read_text(source: str | Path | IO[str]) -> str:
-    """The whole text of a UTF-8 file path or of an open text stream."""
-    if hasattr(source, "read"):
-        return source.read()
-    return Path(source).read_text(encoding="utf-8")
+    """The whole text of a UTF-8 file path or of an open text stream, less a
+    leading byte-order mark."""
+    text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
+    return text.removeprefix("\ufeff")
 
 
 def _read_affix_lines(source: str | Path | IO[str], kind: str) -> tuple[str, ...]:

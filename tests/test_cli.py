@@ -230,6 +230,12 @@ def test_config_file_settings(tmp_path):
     assert config.rho == 10.0  # untouched default
 
 
+def test_config_file_with_a_byte_order_mark_loads(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rho = 5\n", encoding="utf-8-sig")
+    assert load_run_config(cfg).rho == 5.0
+
+
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("velocity = 11\n", encoding="utf-8")

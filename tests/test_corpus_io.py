@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -110,9 +112,10 @@ def test_column_file_bad_label():
 
 
 def test_write_rejects_fields_with_whitespace():
-    record = make_record(word="two words")
-    with pytest.raises(InputError):
-        write_column_file(Corpus(sentences=((record,),)), io.StringIO())
+    good, record = make_record(word="one"), make_record(word="two words")
+    with pytest.raises(InputError) as exc:
+        write_column_file(Corpus(sentences=((good,), (good, record))), io.StringIO())
+    assert "sentence 2, token 2:" in str(exc.value)  # counted from 1, like the readers
 
 
 def test_write_rejects_empty_fields():
@@ -155,6 +158,14 @@ def test_read_raw_rejects_bad_rows():
 def test_read_raw_normalizes_to_nfc():
     raw = read_raw(io.StringIO("café\tNN\n"))
     assert raw[0][0][0] == "café"
+
+
+def test_read_raw_ignores_a_byte_order_mark(tmp_path):
+    path = tmp_path / "raw.txt"
+    path.write_text("abc\tNN\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read_raw(path) == [[("abc", "NN", "O")]]
+    assert read_raw(io.StringIO("\ufeffabc\tNN\n")) == [[("abc", "NN", "O")]]
 
 
 def model_for_test(weights):
@@ -290,6 +301,18 @@ def test_load_model_rejects_bad_values(tmp_path, line_index, replacement):
     assert f"line {line_index + 1}:" in str(exc.value)
 
 
+def test_load_model_rejects_label_pairs_without_b_line(tmp_path):
+    """Scoring ignores label pairs when the template has no B line, so a
+    file holding one is refused rather than counted in the penalty."""
+    path = tmp_path / "model.txt"
+    save_model(CrfModel(LabelSet(), parse_template("U00:%x[0,0]\n"), {("U00:w", "O"): 1.0}), path)
+    text = path.read_text(encoding="utf-8").replace("weights 1\n", "weights 2\n")
+    path.write_text(text + "O\tB-MWE\t7.0\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_model(path)
+    assert "line 8:" in str(exc.value)
+
+
 weight_strings = st.text(
     alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)),
     min_size=1,
@@ -318,3 +341,16 @@ def test_atomic_write_replaces_content(tmp_path):
     atomic_write_text(path, "second\n")
     assert path.read_text(encoding="utf-8") == "second\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_atomic_write_gives_open_permissions(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "atomic.txt", "x\n")
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8") as handle:
+            handle.write("x\n")
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {0o666 & ~umask}
