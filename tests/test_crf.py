@@ -39,6 +39,7 @@ LABELS3 = LabelSet()
 POS_TEMPLATE = parse_template("U00:%x[0,21]\nB\n")
 POS_UNIGRAM_TEMPLATE = parse_template("U00:%x[0,21]\n")  # no B: transitions stay zero
 WORD_POS_TEMPLATE = parse_template("U00:%x[0,0]\nU01:%x[0,21]\nU02:%x[-1,0]\nB\n")
+WORD_WINDOW_TEMPLATE = parse_template("U00:%x[0,0]\nU01:%x[-1,0]\nU02:%x[1,0]\nB\n")
 
 
 def enumerate_scores(lattice: Lattice) -> dict[tuple[int, ...], float]:
@@ -407,7 +408,8 @@ def test_train_and_decode_matches_separate_calls():
     train_data = make_separable_sentences(10, seed=2)
     test_data = make_separable_sentences(4, seed=13)
     config = TrainConfig(rho=10.0, max_iterations=40)
-    for template in (POS_TEMPLATE, POS_UNIGRAM_TEMPLATE):
+    # the word window gives the held-out fold feature strings unseen in training
+    for template in (POS_TEMPLATE, POS_UNIGRAM_TEMPLATE, WORD_WINDOW_TEMPLATE):
         fused = train_and_decode(train_data, test_data, template, config=config)
         model = train(train_data, template, config=config)
         split = [viterbi_decode(model, s) for s in test_data]
@@ -419,7 +421,15 @@ def test_train_and_decode_handles_unseen_features():
     novel = (make_record(word="unseenword", pos="ZZ"),)
     config = TrainConfig(max_iterations=5)
     predictions = train_and_decode(train_data, [novel], POS_TEMPLATE, config=config)
-    assert predictions == [["O"]] or predictions[0][0] in LABELS3.labels
+    model = train(train_data, POS_TEMPLATE, config=config)
+    assert predictions == [viterbi_decode(model, novel)]
+
+
+def test_empty_sentence_is_refused():
+    model = train(make_separable_sentences(3, seed=4), POS_TEMPLATE, TrainConfig(max_iterations=2))
+    for call in (build_lattice, viterbi_decode):
+        with pytest.raises(InputError):
+            call(model, ())
 
 
 def test_big_catalogue_template_trains():
