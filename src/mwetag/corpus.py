@@ -111,6 +111,8 @@ def write_column_file(
 ) -> None:
     blocks = []
     for s_idx, sentence in enumerate(corpus, start=1):
+        if not len(sentence):  # an empty block would read back as no sentence
+            raise InputError(f"sentence {s_idx} is empty")
         lines = []
         for t, record in enumerate(sentence, start=1):
             fields = record.columns + (record.label,)

@@ -91,10 +91,8 @@ def _lse(a: np.ndarray, axis: int) -> np.ndarray:
 def build_lattice(model: CrfModel, rows: Sequence[TokenRecord]) -> Lattice:
     """Score one sentence through the batch core: compile it against its own
     feature strings, look each string's weights up once, and sum the rows.
-    Gold labels are not read, so unlabeled rows score like labeled ones."""
-    if not rows:
-        raise InputError("cannot build a lattice for an empty sentence")
-    comp, wu, wt = _bind(model, [rows], gold=False)
+    Labels are never scored, so unlabeled rows score like labeled ones."""
+    comp, wu, wt = _bind(model, [rows])
     return Lattice(log_unary=_unary_batch(wu, comp)[0], log_transition=wt)
 
 
@@ -151,60 +149,43 @@ def marginals(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _Compiled:
-    vocab: dict[str, int]
+    vocab: dict[str, int]  # feature string -> row, numbered 0..n-1 in first-seen order
     feats: np.ndarray  # (N, Tmax, M) int32 feature rows, pad positions zeroed
-    gold: np.ndarray  # (N, Tmax) int32, zero when compiled without labels
+    gold: np.ndarray  # (N, Tmax) int32 label indices, pad positions zeroed
     mask: np.ndarray  # (N, Tmax) bool
     bigram: bool  # the template's B line; without it the transitions stay zero
 
 
-def _compile(
-    template: Template,
-    data: Sequence[Sequence[TokenRecord]],
-    vocab: dict[str, int] | None,
-    gold: bool,
-) -> _Compiled:
-    """Intern feature strings to integer rows.  With a frozen vocab, unseen
-    strings map to the extra index len(vocab), which carries zero weight.
-    A grown vocab numbers its strings 0..n-1 in insertion order.  Without
-    gold the rows' labels are not read."""
+def _compile(template: Template, data: Sequence[Sequence[TokenRecord]]) -> _Compiled:
+    """Intern a batch's feature strings to integer rows in first-seen order
+    and compile its labels.  Every TokenRecord carries a label (O unless
+    given), and scoring never reads them."""
     if not len(data):
-        raise InputError("training data must contain at least one sentence")
-    grow = vocab is None
-    if grow:
-        vocab = {}
-    unk = len(vocab)
-    n_sents = len(data)
+        raise InputError("expected at least one sentence, got none")
+    vocab: dict[str, int] = {}
     t_max = max(len(s) for s in data)
-    n_macros = len(template.macros)
-    feats = np.zeros((n_sents, t_max, n_macros), dtype=np.int32)
-    gold_ids = np.zeros((n_sents, t_max), dtype=np.int32)
-    lengths = np.array([len(rows) for rows in data], dtype=np.int32)
+    feats = np.zeros((len(data), t_max, len(template.macros)), dtype=np.int32)
+    gold = np.zeros((len(data), t_max), dtype=np.int32)
     for n, rows in enumerate(data):
         if not len(rows):
-            raise InputError(f"sentence {n} is empty")
-        if gold:
-            gold_ids[n, : len(rows)] = [LabelSet.index(row.label) for row in rows]
-        ids = []
-        for t in range(len(rows)):
-            active = expand_macros(template, rows, t)
-            if grow:
-                ids.append([vocab.setdefault(s, len(vocab)) for s in active])
-            else:
-                ids.append([vocab.get(s, unk) for s in active])
-        feats[n, : len(rows)] = ids
+            raise InputError(f"sentence {n + 1} is empty")
+        gold[n, : len(rows)] = [LABELS.index(row.label) for row in rows]
+        feats[n, : len(rows)] = [
+            [vocab.setdefault(s, len(vocab)) for s in expand_macros(template, rows, t)]
+            for t in range(len(rows))
+        ]
+    lengths = np.array([len(rows) for rows in data])
     mask = np.arange(t_max) < lengths[:, None]
-    return _Compiled(vocab, feats, gold_ids, mask, bigram=template.include_label_bigram)
+    return _Compiled(vocab, feats, gold, mask, bigram=template.include_label_bigram)
 
 
 def _bind(
-    model: CrfModel, data: Sequence[Sequence[TokenRecord]], gold: bool
+    model: CrfModel, data: Sequence[Sequence[TokenRecord]]
 ) -> tuple[_Compiled, np.ndarray, np.ndarray]:
-    """Compile data against its own feature strings and look the model's
-    weights up once per string: unary rows in vocab order and the transition
-    matrix, zero wherever the weight map has no entry or the template has no
-    B line."""
-    comp = _compile(model.template, data, vocab=None, gold=gold)
+    """Compile data and look the model's weights up once per feature string:
+    unary rows in vocab order and the transition matrix, zero wherever the
+    weight map has no entry or the template has no B line."""
+    comp = _compile(model.template, data)
     get = model.weights.get
     wu = np.array([[get((s, lab), 0.0) for lab in LABELS] for s in comp.vocab], dtype=float)
     wt = np.zeros((len(LABELS), len(LABELS)))
@@ -301,14 +282,13 @@ def _count_gradient(
     node, edge = _posteriors(e, wt, comp.mask, with_edges=comp.bigram)
 
     flat_mask = comp.mask.ravel()
-    flat_feats = comp.feats.reshape(-1, n_macros)[flat_mask]
+    flat_feats = comp.feats.reshape(flat_mask.size, n_macros)[flat_mask]
     flat_node = node.reshape(-1, L)[flat_mask]
     flat_gold = comp.gold.ravel()[flat_mask]
 
     gu = np.zeros((n_feats, L))
-    if n_macros:
-        np.add.at(gu, (flat_feats.ravel(), np.repeat(flat_gold, n_macros)), 1.0)
-        np.add.at(gu, flat_feats.ravel(), -np.repeat(flat_node, n_macros, axis=0))
+    np.add.at(gu, (flat_feats.ravel(), np.repeat(flat_gold, n_macros)), 1.0)
+    np.add.at(gu, flat_feats.ravel(), -np.repeat(flat_node, n_macros, axis=0))
 
     gt = np.zeros((L, L))
     if comp.bigram:
@@ -324,7 +304,7 @@ def _fit(
     """Compile labeled data and fit its weights by gradient ascent with a
     backtracking line search from zero init.  Without a B line the
     transition gradient is zero, so the transitions stay zero."""
-    comp = _compile(template, data, vocab=None, gold=True)
+    comp = _compile(template, data)
     wu = np.zeros((len(comp.vocab), len(LABELS)))
     wt = np.zeros((len(LABELS), len(LABELS)))
     rho2 = config.rho**2
@@ -367,7 +347,7 @@ def regularized_objective(
 ) -> float:
     """Conditional log-likelihood of data minus sum(w^2)/(2*rho^2) over the
     model's stored weights."""
-    comp, wu, wt = _bind(model, data, gold=True)
+    comp, wu, wt = _bind(model, data)
     ll = _log_likelihood(comp, wu, wt)
     penalty = sum(w * w for w in model.weights.values()) / (2.0 * model.rho**2)
     return ll - penalty
@@ -378,7 +358,7 @@ def gradient(
 ) -> dict[WeightKey, float]:
     """Partial derivatives of regularized_objective with respect to every
     weight touched by the data or present in the model."""
-    comp, wu, wt = _bind(model, data, gold=True)
+    comp, wu, wt = _bind(model, data)
     gu, gt = _count_gradient(comp, wu, wt)
     rho2 = model.rho**2
     out = _arrays_to_weights(comp, gu - wu / rho2, gt - wt / rho2)
@@ -422,8 +402,10 @@ def train_and_decode(
     config: TrainConfig | None = None,
 ) -> list[list[str]]:
     """Train on one partition and decode another without materializing the
-    weight map; feature strings unseen in training score zero."""
+    weight map: the held-out rows are gathered from the trained ones, and
+    feature strings unseen in training take the zero row appended to them."""
     comp, wu, wt = _fit(train_sentences, template, config or TrainConfig())
-    test = _compile(template, test_sentences, vocab=comp.vocab, gold=False)
-    e = _unary_batch(np.vstack([wu, np.zeros((1, len(LABELS)))]), test)
+    test = _compile(template, test_sentences)
+    rows = [comp.vocab.get(s, len(wu)) for s in test.vocab]
+    e = _unary_batch(np.vstack([wu, np.zeros((1, len(LABELS)))])[rows], test)
     return [[LABELS[i] for i in path] for path in _viterbi_batch(e, wt, test.mask)]

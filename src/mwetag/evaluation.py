@@ -21,12 +21,15 @@ class Span:
 
 def extract_spans(labels: Sequence[str], sentence_index: int = 0) -> set[Span]:
     """Contiguous B/I runs as spans.  An I with no open span starts one, so
-    slightly ill-formed predictions still score token-for-token fairly."""
+    slightly ill-formed predictions still score token-for-token fairly.
+    Errors count the sentence and token from 1."""
     spans: set[Span] = set()
     start: int | None = None
     for t, label in enumerate(labels):
         if label not in LABELS:
-            raise InputError(f"unknown label {label!r} at position {t}")
+            raise InputError(
+                f"sentence {sentence_index + 1}, token {t + 1}: unknown label {label!r}"
+            )
         if label == "B-MWE":
             if start is not None:
                 spans.add(Span(sentence_index, start, t - 1))
@@ -81,7 +84,7 @@ def score(
         raise InputError(
             f"gold has {len(gold)} sentences, predicted has {len(predicted)}"
         )
-    for i, (g, p) in enumerate(zip(gold, predicted)):
+    for i, (g, p) in enumerate(zip(gold, predicted), start=1):
         if len(g) != len(p):
             raise InputError(
                 f"sentence {i}: gold has {len(g)} tokens, predicted has {len(p)}"
@@ -97,12 +100,11 @@ def score(
         predicted_total = len(pred_spans)
     else:
         correct = gold_total = predicted_total = 0
-        for g, p in zip(gold, predicted):
-            for gl, pl in zip(g, p):
-                if gl not in LABELS:
-                    raise InputError(f"unknown label {gl!r}")
-                if pl not in LABELS:
-                    raise InputError(f"unknown label {pl!r}")
+        for i, (g, p) in enumerate(zip(gold, predicted), start=1):
+            for t, (gl, pl) in enumerate(zip(g, p), start=1):
+                for label in (gl, pl):
+                    if label not in LABELS:
+                        raise InputError(f"sentence {i}, token {t}: unknown label {label!r}")
                 gold_total += gl != "O"
                 predicted_total += pl != "O"
                 correct += gl != "O" and gl == pl

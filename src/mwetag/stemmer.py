@@ -70,7 +70,7 @@ def _read_affix_lines(source: str | Path | IO[str], kind: str) -> tuple[str, ...
     for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
-        entry = _nfc(raw.rstrip())
+        entry = _nfc(raw.strip())
         if entry in seen:
             raise ConfigError(
                 f"{kind} line {lineno}: duplicate entry {entry!r}"
@@ -87,7 +87,7 @@ def load_affix_lexicon(
     prefix_source: str | Path | IO[str], suffix_source: str | Path | IO[str]
 ) -> AffixLexicon:
     """Read prefix and suffix lists: one affix per line, ``#`` comments and
-    blank lines ignored, trailing whitespace trimmed, NFC-normalized.
+    blank lines ignored, surrounding whitespace trimmed, NFC-normalized.
     Duplicates and empty lists raise ConfigError."""
     return AffixLexicon(
         prefixes=_read_affix_lines(prefix_source, "prefixes"),

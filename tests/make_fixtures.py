@@ -25,14 +25,14 @@ def render_raw(sentences) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def main() -> None:
-    DATA.mkdir(exist_ok=True)
+def main(target: Path = DATA) -> None:
+    target.mkdir(exist_ok=True)
     raw = make_recovery_raw(RAW_SENTENCES, seed=RAW_SEED)
-    (DATA / "synthetic_raw.txt").write_text(render_raw(raw), encoding="utf-8")
-    (DATA / "synthetic_prefixes.txt").write_text("qqq\n", encoding="utf-8")
-    (DATA / "synthetic_suffixes.txt").write_text("zb\nzi\nzo\n", encoding="utf-8")
+    (target / "synthetic_raw.txt").write_text(render_raw(raw), encoding="utf-8")
+    (target / "synthetic_prefixes.txt").write_text("qqq\n", encoding="utf-8")
+    (target / "synthetic_suffixes.txt").write_text("zb\nzi\nzo\n", encoding="utf-8")
     tokens = sum(len(s) for s in raw)
-    print(f"wrote {RAW_SENTENCES} sentences / {tokens} tokens to {DATA}")
+    print(f"wrote {RAW_SENTENCES} sentences / {tokens} tokens to {target}")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from mwetag.corpus import read_column_file
 from mwetag.crf import CrfModel, TrainConfig
 from mwetag.errors import ConfigError
 from mwetag.ga import GaConfig, crossover
+from tests import make_fixtures
 
 DATA = Path(__file__).parent / "data"
 RAW = str(DATA / "synthetic_raw.txt")
@@ -159,6 +160,16 @@ GA_FLAGS = [
     "--max-iterations", "8",
     "--seed", "5",
 ]
+
+
+@pytest.mark.parametrize("text", ["B\n", "# no unigram lines\n"], ids=["B-only", "comments-only"])
+def test_train_and_tag_a_template_without_unigram_lines(tmp_path, encoded_corpus, text):
+    template, model, tagged = tmp_path / "t.txt", tmp_path / "m.txt", tmp_path / "o.txt"
+    template.write_text(text, encoding="utf-8")
+    train = ["train", str(encoded_corpus), "--template", str(template), "--model", str(model)]
+    assert dispatch([*train, "--max-iterations", "5"]) == 0
+    assert dispatch(["tag", str(encoded_corpus), "--model", str(model), "--out", str(tagged)]) == 0
+    assert read_column_file(tagged).token_count == 525
 
 
 def test_ga_search_and_report(tmp_path, encoded_corpus, capsys):
@@ -376,3 +387,12 @@ def test_ga_search_needs_two_folds(tmp_path, encoded_corpus, capsys):
     )
     assert code == 1
     assert "folds" in capsys.readouterr().err
+
+
+def test_fixtures_regenerate_byte_identical(tmp_path, capsys):
+    make_fixtures.main(tmp_path)
+
+    def files(directory):
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    assert files(tmp_path) == files(DATA)

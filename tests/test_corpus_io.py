@@ -124,6 +124,13 @@ def test_write_rejects_empty_fields():
         write_column_file(Corpus(sentences=((record,),)), io.StringIO())
 
 
+def test_write_rejects_empty_sentence():
+    # a plain sequence bypasses Corpus; its empty block would read back as nothing
+    record = make_record(word="one")
+    with pytest.raises(InputError, match="sentence 2 is empty"):
+        write_column_file([(record,), (), (record,)], io.StringIO())
+
+
 def test_corpus_rejects_empty_sentence():
     with pytest.raises(InputError):
         Corpus(sentences=((),))

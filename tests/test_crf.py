@@ -408,8 +408,10 @@ def test_train_and_decode_matches_separate_calls():
     train_data = make_separable_sentences(10, seed=2)
     test_data = make_separable_sentences(4, seed=13)
     config = TrainConfig(rho=10.0, max_iterations=40)
-    # the word window gives the held-out fold feature strings unseen in training
-    for template in (POS_TEMPLATE, POS_UNIGRAM_TEMPLATE, WORD_WINDOW_TEMPLATE):
+    # the word window gives the held-out fold feature strings unseen in training;
+    # the bare B line is a transition-only CRF
+    templates = (POS_TEMPLATE, POS_UNIGRAM_TEMPLATE, WORD_WINDOW_TEMPLATE, parse_template("B\n"))
+    for template in templates:
         fused = train_and_decode(train_data, test_data, template, config=config)
         model = train(train_data, template, config=config)
         split = [viterbi_decode(model, s) for s in test_data]
@@ -430,6 +432,15 @@ def test_empty_sentence_is_refused():
     for call in (build_lattice, viterbi_decode):
         with pytest.raises(InputError):
             call(model, ())
+
+
+def test_empty_batch_and_sentence_messages_count_from_one():
+    data = make_separable_sentences(3, seed=4)
+    config = TrainConfig(max_iterations=2)
+    with pytest.raises(InputError, match="sentence 2 is empty"):
+        train([data[0], (), data[1]], POS_TEMPLATE, config)
+    with pytest.raises(InputError, match="expected at least one sentence, got none"):
+        train_and_decode(data, [], POS_TEMPLATE, config)
 
 
 def test_big_catalogue_template_trains():

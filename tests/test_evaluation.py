@@ -51,8 +51,12 @@ def test_extract_b_after_i_splits():
 
 
 def test_extract_unknown_label():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="sentence 1, token 2: unknown label 'X'"):
         spans(["O", "X"])
+    with pytest.raises(InputError, match="sentence 2, token 2: unknown label 'X'"):
+        score([["O"], ["O", "O"]], [["O"], ["O", "X"]], mode="span")
+    with pytest.raises(InputError, match="sentence 2, token 2: unknown label 'X'"):
+        score([["O"], ["O", "X"]], [["O"], ["O", "O"]], mode="token")
 
 
 def test_extract_tags_sentence_index():
@@ -164,9 +168,9 @@ def test_score_empty_totals_give_zero():
 
 
 def test_score_shape_mismatch():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="gold has 1 sentences, predicted has 2"):
         score([["O"]], [["O"], ["O"]])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="sentence 1: gold has 2 tokens, predicted has 1"):
         score([["O", "O"]], [["O"]])
 
 

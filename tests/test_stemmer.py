@@ -162,9 +162,9 @@ def test_decomposed_input_matches_precomposed():
 
 
 def test_loader_preserves_order_and_skips_noise():
-    text = "# comment\nabc\n\nde\n  # indented comment\nf\n"
+    text = "# comment\nabc\n\nde\n  # indented comment\nf\n  gh \n"
     lexicon = load_affix_lexicon(io.StringIO(text), io.StringIO("x\n"))
-    assert lexicon.prefixes == ("abc", "de", "f")
+    assert lexicon.prefixes == ("abc", "de", "f", "gh")
 
 
 def test_loader_counts():
