@@ -26,7 +26,6 @@ from .crf import (
 from .errors import ConfigError, InputError, MweTagError, ParseError
 from .evaluation import EvalReport, Span, extract_spans, f_measure, score
 from .features import (
-    FrequencyTable,
     Gazetteer,
     TokenRecord,
     build_frequency_table,
@@ -52,14 +51,7 @@ from .ga import (
     select_parent,
     split_folds,
 )
-from .stemmer import (
-    AffixLexicon,
-    StemResult,
-    load_affix_lexicon,
-    stem,
-    strip_prefixes,
-    strip_suffixes,
-)
+from .stemmer import AffixLexicon, StemResult, load_affix_lexicon, stem
 from .templates import (
     FeatureMacro,
     GeneCatalogue,

@@ -164,7 +164,7 @@ def _require(config: RunConfig, *names: str) -> None:
 
 def _cmd_stem(args: argparse.Namespace, config: RunConfig) -> int:
     lexicon = _load_lexicon(config)
-    words = args.words or [line.strip() for line in sys.stdin if line.strip()]
+    words = args.words or [w.strip() for w in read_text(sys.stdin).splitlines() if w.strip()]
     for word in words:
         result = stem(word, lexicon, config.min_stem)
         print(

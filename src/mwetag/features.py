@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -40,7 +40,8 @@ COL_POS = 21
 @dataclass(frozen=True)
 class TokenRecord:
     """One token row: 22 feature columns (as written to file) plus its label,
-    one of LABELS."""
+    one of LABELS.  Every column is non-empty and holds no whitespace, so the
+    row can be written to a whitespace-separated file and read back."""
 
     columns: tuple[str, ...]
     label: str = "O"
@@ -52,6 +53,9 @@ class TokenRecord:
             )
         if self.label not in LABELS:
             raise InputError(f"label {self.label!r} not in {LABELS}")
+        if " ".join(self.columns).split() != list(self.columns):
+            col, value = next((i, v) for i, v in enumerate(self.columns, 1) if v.split() != [v])
+            raise InputError(f"column {col} {value!r} is empty or holds whitespace")
 
 
 Sentence = tuple[TokenRecord, ...]
@@ -75,8 +79,7 @@ class Gazetteer:
 
 def _read_gazetteer_lines(source: str | Path | IO[str]) -> frozenset[str]:
     return frozenset(
-        unicodedata.normalize("NFC", raw.strip())
-        for raw in read_text(source).splitlines()
+        raw.strip() for raw in read_text(source).splitlines()
         if raw.strip() and not raw.lstrip().startswith("#")
     )
 
@@ -91,17 +94,9 @@ def load_gazetteer(
     )
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
-    counts: Mapping[str, int] = field(default_factory=dict)
-
-    def count(self, word: str) -> int:
-        return self.counts.get(word, 0)
-
-
-def build_frequency_table(words: Iterable[str]) -> FrequencyTable:
+def build_frequency_table(words: Iterable[str]) -> dict[str, int]:
     """Count raw surface occurrences. Build this from training data only."""
-    return FrequencyTable(counts=dict(Counter(words)))
+    return dict(Counter(words))
 
 
 def length_flag(word: str) -> int:
@@ -129,7 +124,7 @@ def build_token_record(
     next_word: str | None,
     lexicon: AffixLexicon,
     gazetteer: Gazetteer,
-    frequencies: FrequencyTable,
+    frequencies: Mapping[str, int],
     min_stem: int = MIN_STEM,
 ) -> TokenRecord:
     """Expand one token into its 22 feature columns.
@@ -158,7 +153,7 @@ def build_token_record(
         str(digit_flag(word)),
         str(int(prev_word is not None and prev_word in gazetteer.salutations)),
         str(int(next_word is not None and next_word in gazetteer.followups)),
-        str(frequency_bin(frequencies.count(word))),
+        str(frequency_bin(frequencies.get(word, 0))),
         str(length_flag(word)),
         pos,
     )
@@ -169,7 +164,7 @@ def encode_corpus(
     raw_sentences: Sequence[Sequence[tuple[str, str, str]]],
     lexicon: AffixLexicon,
     gazetteer: Gazetteer,
-    frequencies: FrequencyTable | None = None,
+    frequencies: Mapping[str, int] | None = None,
     min_stem: int = MIN_STEM,
 ) -> list[Sentence]:
     """Expand (word, pos, label) sentences into token rows.

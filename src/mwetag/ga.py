@@ -116,15 +116,11 @@ def evaluate_fitness(
 ) -> float:
     """Mean span F over k held-out folds; the all-zero chromosome is 0.0
     without any training."""
-    if len(bits) != len(catalogue):
-        raise InputError(
-            f"chromosome length {len(bits)} != catalogue size {len(catalogue)}"
-        )
+    template = chromosome_to_template(bits, catalogue)  # checks the length
     if not any(bits):
         return 0.0
     if sum(len(f) for f in folds) != len(corpus):
         raise InputError("folds must partition the corpus")
-    template = chromosome_to_template(bits, catalogue)
     fold_scores = []
     for held_out_index, held_out in enumerate(folds):
         training = [s for j, f in enumerate(folds) if j != held_out_index for s in f]
@@ -199,8 +195,8 @@ def run_ga(
     train_config: TrainConfig,
 ) -> GaResult:
     """Generational loop with elitism, fitness memoization by bit pattern,
-    and early stop once the best fitness has not changed for
-    stagnation_generations generations."""
+    and early stop once the best fitness has stayed the same in each of the
+    last stagnation_generations generations."""
     folds = split_folds(corpus, config.folds, config.seed)
     memo: dict[tuple[int, ...], float] = {}
 
@@ -226,7 +222,9 @@ def run_ga(
         )
 
         window = config.stagnation_generations
-        if len(history) > window and history[-1].best_fitness == history[-1 - window].best_fitness:
+        # every best in the window, not just its ends: without elitism the
+        # best can drop and come back
+        if len(history) > window and len({r.best_fitness for r in history[-1 - window:]}) == 1:
             break
         if generation + 1 == config.max_generations:
             break

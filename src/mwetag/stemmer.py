@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, ParseError
 
 MIN_STEM = 1  # default shortest stem an affix may leave behind
 
@@ -58,9 +58,17 @@ class StemResult:
 
 
 def read_text(source: str | Path | IO[str]) -> str:
-    """The whole text of a UTF-8 file path or of an open text stream, less a
-    leading byte-order mark."""
-    text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
+    """The whole text of a UTF-8 file path or open text stream, less a leading
+    byte-order mark; bytes that are not UTF-8 raise ParseError."""
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:  # universal newlines, as in text mode
+            data = Path(source).read_bytes()
+            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        line = None if hasattr(source, "read") else data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8: {exc.reason}", line=line) from None
     return text.removeprefix("\ufeff")
 
 
@@ -95,12 +103,6 @@ def load_affix_lexicon(
     )
 
 
-def _check_word(word: str) -> str:
-    if not word:
-        raise InputError("word must be non-empty")
-    return _nfc(word)
-
-
 def check_min_stem(min_stem: int) -> None:
     if min_stem < 1:
         raise InputError(f"min_stem must be >= 1, got {min_stem}")
@@ -109,8 +111,7 @@ def check_min_stem(min_stem: int) -> None:
 def _strip(
     stem: str, affixes: tuple[str, ...], min_stem: int, leading: bool
 ) -> tuple[str, tuple[str, ...]]:
-    """One pass over one edge of a normalized word; returns (stem, removed
-    in removal order)."""
+    """One pass over one edge of a normalized word: (stem, removed in removal order)."""
     at_edge = str.startswith if leading else str.endswith
     removed: list[str] = []
     i = 0
@@ -125,26 +126,12 @@ def _strip(
     return stem, tuple(removed)
 
 
-def strip_prefixes(
-    word: str, lexicon: AffixLexicon, min_stem: int = MIN_STEM
-) -> tuple[str, tuple[str, ...]]:
-    """Iteratively remove leading affixes; returns (stem, removed outermost first)."""
-    check_min_stem(min_stem)
-    return _strip(_check_word(word), lexicon.prefixes, min_stem, leading=True)
-
-
-def strip_suffixes(
-    word: str, lexicon: AffixLexicon, min_stem: int = MIN_STEM
-) -> tuple[str, tuple[str, ...]]:
-    """Iteratively remove trailing affixes; returns (stem, removed rightmost first)."""
-    check_min_stem(min_stem)
-    return _strip(_check_word(word), lexicon.suffixes, min_stem, leading=False)
-
-
 def stem(word: str, lexicon: AffixLexicon, min_stem: int = MIN_STEM) -> StemResult:
-    """Prefix pass, then suffix pass on the remainder."""
-    normalized = _check_word(word)
+    """Prefix pass, then suffix pass on the remainder of the NFC-normalized word."""
+    if not word:
+        raise InputError("word must be non-empty")
     check_min_stem(min_stem)
+    normalized = _nfc(word)
     after_prefixes, prefixes = _strip(normalized, lexicon.prefixes, min_stem, leading=True)
     final, suffixes = _strip(after_prefixes, lexicon.suffixes, min_stem, leading=False)
     return StemResult(

@@ -133,20 +133,18 @@ def expand_macros(template: Template, rows: Sequence[TokenRecord], t: int) -> li
 
 @dataclass(frozen=True)
 class Gene:
-    index: int
     name: str
     macro: FeatureMacro
 
 
 @dataclass(frozen=True)
 class GeneCatalogue:
-    """Fixed, ordered list of candidate feature macros a chromosome selects from."""
+    """Fixed, ordered list of candidate feature macros a chromosome selects
+    from; a gene's bit is its position in the list."""
 
     genes: tuple[Gene, ...]
 
     def __post_init__(self) -> None:
-        if [g.index for g in self.genes] != list(range(len(self.genes))):
-            raise InputError("gene indices must be dense 0..n-1 in order")
         ids = [g.macro.id for g in self.genes]
         if len(set(ids)) != len(ids):
             raise InputError("gene macro ids must be unique")
@@ -186,7 +184,7 @@ def default_catalogue() -> GeneCatalogue:
     entries += _window_genes("pos", COL_POS)
 
     genes = tuple(
-        Gene(index=i, name=name, macro=FeatureMacro(id=f"U{i:02d}", refs=(ref,)))
+        Gene(name=name, macro=FeatureMacro(id=f"U{i:02d}", refs=(ref,)))
         for i, (name, ref) in enumerate(entries)
     )
     return GeneCatalogue(genes=genes)

@@ -287,6 +287,17 @@ def test_stem_reads_stdin(monkeypatch, capsys):
     assert len(lines) == 2
 
 
+def test_non_utf8_input_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys):
+    raw = tmp_path / "raw.txt"
+    raw.write_bytes(b"word\tNN\nwor\xe9\tNN\n")
+    assert dispatch(["encode", str(raw), "--out", str(tmp_path / "enc.col")]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2:")
+    # a stream is decoded in chunks, so it has no line to name
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"plain\nwor\xe9\n"), "utf-8"))
+    assert dispatch(["stem", *AFFIX_FLAGS]) == 1
+    assert capsys.readouterr().err.startswith("error: not UTF-8")
+
+
 def test_defaults_are_the_library_defaults():
     run = RunConfig()
     for cls in (TrainConfig, GaConfig):

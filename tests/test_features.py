@@ -27,7 +27,6 @@ from mwetag.features import (
     LABELS,
     NUM_COLUMNS,
     SUFFIX_SLOTS,
-    FrequencyTable,
     Gazetteer,
     TokenRecord,
     build_frequency_table,
@@ -71,15 +70,12 @@ def test_digit_flag_cases():
 
 
 def test_frequency_table_counts():
-    table = build_frequency_table(["a", "b", "a", "a"])
-    assert table.count("a") == 3
-    assert table.count("b") == 1
-    assert table.count("missing") == 0
+    assert build_frequency_table(["a", "b", "a", "a"]) == {"a": 3, "b": 1}
 
 
 LEXICON = AffixLexicon(prefixes=("un",), suffixes=("ed", "ing", "s"))
 GAZETTEER = Gazetteer(salutations=frozenset({"Mr."}), followups=frozenset({"City"}))
-EMPTY_TABLE = FrequencyTable(counts={})
+EMPTY_TABLE: dict[str, int] = {}
 
 
 def build(word, **kwargs):
@@ -147,7 +143,7 @@ def test_gazetteer_flags_use_neighbours():
 
 
 def test_frequency_column_uses_table():
-    table = FrequencyTable(counts={"walked": 250})
+    table = {"walked": 250}
     assert build("walked", frequencies=table).columns[COL_FREQUENCY] == "1"
     assert build("walked").columns[COL_FREQUENCY] == "0"
 
@@ -229,6 +225,10 @@ def test_encode_corpus_reports_empty_word_position():
     with pytest.raises(InputError) as exc:
         encode_corpus([[("", "NN", "O")]], LEXICON, GAZETTEER)
     assert "sentence 1, token 1" in str(exc.value)
+    # read_raw refuses such a word at its line; a library caller gets the row's refusal
+    raw = [[("fine", "NN", "O")], [("fine", "NN", "O"), ("two words", "NN", "O")]]
+    with pytest.raises(InputError, match="sentence 2, token 2: column 1 'two words'"):
+        encode_corpus(raw, LEXICON, GAZETTEER)
 
 
 def test_encode_corpus_nfd_and_nfc_input_encode_alike():

@@ -127,8 +127,9 @@ def test_evaluate_fitness_separable_data_reaches_100():
 def test_evaluate_fitness_checks_length():
     data = make_separable_sentences(4, seed=4)
     folds = split_folds(data, 2, seed=0)
-    with pytest.raises(InputError):
-        evaluate_fitness((1, 0), data, CATALOGUE, folds, FAST)
+    for bits in ((1, 0), (0, 0)):  # all-zero bits are checked before the shortcut
+        with pytest.raises(InputError):
+            evaluate_fitness(bits, data, CATALOGUE, folds, FAST)
 
 
 def test_evaluate_fitness_checks_fold_partition():
@@ -285,13 +286,7 @@ def test_ga_config_validation():
 
 
 def small_catalogue():
-    genes = default_catalogue().genes[33:38]  # the five POS windows
-    from mwetag.templates import Gene
-
-    renumbered = tuple(
-        Gene(index=i, name=g.name, macro=g.macro) for i, g in enumerate(genes)
-    )
-    return GeneCatalogue(genes=renumbered)
+    return GeneCatalogue(genes=default_catalogue().genes[33:38])  # the five POS windows
 
 
 def test_run_ga_stops_on_stagnation():
@@ -309,6 +304,26 @@ def test_run_ga_stops_on_stagnation():
     result = run_ga(data, small_catalogue(), config=config, train_config=FAST)
     assert len(result.history) == 4  # initial + 3 stagnant generations
     assert all(rec.best_fitness == 0.0 for rec in result.history)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_run_ga_stops_only_when_the_whole_window_is_flat(monkeypatch, seed):
+    # without elitism the best can drop and come back: [3, 3, 2, 3] has equal
+    # ends, but its window of 2 generations did not stand still
+    monkeypatch.setattr("mwetag.ga.evaluate_fitness", lambda bits, *_: float(sum(bits) % 4))
+    config = GaConfig(
+        population_size=3,
+        elitism_count=0,
+        stagnation_generations=2,
+        max_generations=40,
+        folds=2,
+        seed=seed,
+    )
+    data = make_separable_sentences(4, seed=4)
+    bests = [r.best_fitness for r in run_ga(data, CATALOGUE, config, FAST).history]
+    flat = [len(set(bests[i - 2 : i + 1])) == 1 for i in range(2, len(bests))]
+    assert not any(flat[:-1])  # no earlier flat window was passed over
+    assert flat[-1] or len(bests) == config.max_generations
 
 
 def test_run_ga_respects_max_generations():

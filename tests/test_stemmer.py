@@ -14,8 +14,6 @@ from mwetag.stemmer import (
     AffixLexicon,
     load_affix_lexicon,
     stem,
-    strip_prefixes,
-    strip_suffixes,
 )
 
 
@@ -51,20 +49,18 @@ min_stems = st.integers(min_value=1, max_value=3)
 
 @given(words, affix_lists, min_stems)
 def test_prefix_pass_matches_reference(word, affixes, min_stem):
-    lexicon = AffixLexicon(prefixes=tuple(affixes), suffixes=("q",))
-    got_stem, got_removed = strip_prefixes(word, lexicon, min_stem=min_stem)
+    result = stem(word, AffixLexicon(prefixes=tuple(affixes), suffixes=()), min_stem=min_stem)
     want_stem, want_removed = reference_strip(word, affixes, min_stem, "prefix")
-    assert got_stem == want_stem
-    assert list(got_removed) == want_removed
+    assert result.stem == want_stem
+    assert list(result.stripped_prefixes) == want_removed
 
 
 @given(words, affix_lists, min_stems)
 def test_suffix_pass_matches_reference(word, affixes, min_stem):
-    lexicon = AffixLexicon(prefixes=("q",), suffixes=tuple(affixes))
-    got_stem, got_removed = strip_suffixes(word, lexicon, min_stem=min_stem)
+    result = stem(word, AffixLexicon(prefixes=(), suffixes=tuple(affixes)), min_stem=min_stem)
     want_stem, want_removed = reference_strip(word, affixes, min_stem, "suffix")
-    assert got_stem == want_stem
-    assert list(got_removed) == want_removed
+    assert result.stem == want_stem
+    assert list(result.stripped_suffixes) == want_removed
 
 
 @given(words, affix_lists, affix_lists, min_stems)
