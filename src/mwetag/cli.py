@@ -29,7 +29,9 @@ from .errors import ConfigError, InputError, MweTagError
 from .evaluation import DEFAULT_MODE, MODES, render_csv, render_text, score
 from .features import TokenRecord, encode_corpus, load_gazetteer
 from .ga import GaConfig, history_from_csv, history_to_csv, run_ga
-from .stemmer import MIN_STEM, check_min_stem, load_affix_lexicon, read_text, stem
+from .stemmer import (
+    MIN_STEM, check_min_stem, content_lines, load_affix_lexicon, read_text, split_lines, stem
+)
 from .templates import (
     chromosome_to_template,
     default_catalogue,
@@ -102,20 +104,19 @@ def load_run_config(
     flags = flags or {}
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
-    for lineno, raw in enumerate(read_text(source).splitlines() if source else [], start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(read_text(source) if source else ""):
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"expected 'key = value', got {line!r}", line=lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _SETTING_TYPES:
-            raise ConfigError(f"line {lineno}: unknown setting {key!r}")
+            raise ConfigError(f"unknown setting {key!r}", line=lineno)
+        if key in lines:
+            raise ConfigError(f"setting {key!r} repeats line {lines[key]}", line=lineno)
         try:
             values[key] = _SETTING_TYPES[key](value)
         except ValueError:
-            raise ConfigError(f"line {lineno}: bad value {value!r} for {key!r}") from None
+            raise ConfigError(f"bad value {value!r} for {key!r}", line=lineno) from None
         lines[key] = lineno
     defaults = RunConfig()
     config = replace(defaults, **{**values, **flags})
@@ -125,7 +126,7 @@ def load_run_config(
     for key in sorted(values.keys() - flags.keys(), key=lines.__getitem__):
         reset = _check_settings(replace(config, **{key: getattr(defaults, key)}))
         if reset is None or str(reset) != str(error):
-            raise ConfigError(f"line {lines[key]}: {error}")
+            raise ConfigError(str(error), line=lines[key])
     raise error
 
 
@@ -164,7 +165,7 @@ def _require(config: RunConfig, *names: str) -> None:
 
 def _cmd_stem(args: argparse.Namespace, config: RunConfig) -> int:
     lexicon = _load_lexicon(config)
-    words = args.words or [w.strip() for w in read_text(sys.stdin).splitlines() if w.strip()]
+    words = args.words or [w.strip() for w in split_lines(read_text(sys.stdin)) if w.strip()]
     for word in words:
         result = stem(word, lexicon, config.min_stem)
         print(

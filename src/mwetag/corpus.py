@@ -18,7 +18,7 @@ from typing import IO, Iterator, Sequence
 from .crf import CrfModel, LabelSet
 from .errors import InputError, ParseError
 from .features import LABELS, NUM_COLUMNS, Sentence, TokenRecord
-from .stemmer import read_text
+from .stemmer import read_text, split_lines
 from .templates import parse_template, serialize_template
 
 MODEL_MAGIC = "mwetag-crf-model"
@@ -71,37 +71,39 @@ def _write_text(target: str | Path | IO[str], text: str) -> None:
         atomic_write_text(target, text)
 
 
+def _blocks(source: str | Path | IO[str]) -> Iterator[list[tuple[int, str]]]:
+    """The numbered lines of each blank-line-separated block of a file."""
+    block: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(split_lines(read_text(source)), start=1):
+        if raw.strip():
+            block.append((lineno, raw))
+        elif block:
+            yield block
+            block = []
+    if block:
+        yield block
+
+
 def read_column_file(source: str | Path | IO[str], expect_labels: bool = True) -> Corpus:
     """Parse a column file.  With expect_labels, every row needs exactly
     NUM_COLUMNS + 1 fields; otherwise a trailing 23rd field is ignored."""
+    counts = (NUM_COLUMNS + 1,) if expect_labels else (NUM_COLUMNS, NUM_COLUMNS + 1)
     sentences: list[Sentence] = []
-    current: list[TokenRecord] = []
-    for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
-        if not raw.strip():
-            if current:
-                sentences.append(tuple(current))
-                current = []
-            continue
-        fields = raw.split()
-        if expect_labels:
-            if len(fields) != NUM_COLUMNS + 1:
+    for block in _blocks(source):
+        rows = []
+        for lineno, raw in block:
+            fields = raw.split()
+            if len(fields) not in counts:
                 raise ParseError(
-                    f"expected {NUM_COLUMNS + 1} fields, got {len(fields)}", line=lineno
-                )
-            try:
-                record = TokenRecord(tuple(fields[:NUM_COLUMNS]), label=fields[NUM_COLUMNS])
-            except InputError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-        else:
-            if len(fields) not in (NUM_COLUMNS, NUM_COLUMNS + 1):
-                raise ParseError(
-                    f"expected {NUM_COLUMNS} or {NUM_COLUMNS + 1} fields, got {len(fields)}",
+                    f"expected {' or '.join(map(str, counts))} fields, got {len(fields)}",
                     line=lineno,
                 )
-            record = TokenRecord(columns=tuple(fields[:NUM_COLUMNS]))
-        current.append(record)
-    if current:
-        sentences.append(tuple(current))
+            label = fields[NUM_COLUMNS] if expect_labels else "O"
+            try:
+                rows.append(TokenRecord(tuple(fields[:NUM_COLUMNS]), label=label))
+            except InputError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+        sentences.append(tuple(rows))
     return Corpus(sentences=tuple(sentences))
 
 
@@ -122,31 +124,26 @@ def write_column_file(
 def read_raw(source: str | Path | IO[str]) -> list[list[tuple[str, str, str]]]:
     """Raw triples, NFC-normalized; the label defaults to "O" when absent."""
     sentences: list[list[tuple[str, str, str]]] = []
-    current: list[tuple[str, str, str]] = []
-    for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
-        if not raw.strip():
-            if current:
-                sentences.append(current)
-                current = []
-            continue
-        fields = raw.split("\t")
-        if len(fields) not in (2, 3):
-            raise ParseError(
-                f"expected word<TAB>pos[<TAB>label], got {len(fields)} fields",
-                line=lineno,
-            )
-        word = unicodedata.normalize("NFC", fields[0].strip())
-        pos = fields[1].strip()
-        label = fields[2].strip() if len(fields) == 3 else "O"
-        if not word or not pos:
-            raise ParseError("word and pos must be non-empty", line=lineno)
-        if any(ch.isspace() for ch in word) or any(ch.isspace() for ch in pos):
-            raise ParseError("word and pos cannot contain whitespace", line=lineno)
-        if label not in LABELS:
-            raise ParseError(f"label {label!r} not in {LABELS}", line=lineno)
-        current.append((word, pos, label))
-    if current:
-        sentences.append(current)
+    for block in _blocks(source):
+        sentence = []
+        for lineno, raw in block:
+            fields = raw.split("\t")
+            if len(fields) not in (2, 3):
+                raise ParseError(
+                    f"expected word<TAB>pos[<TAB>label], got {len(fields)} fields",
+                    line=lineno,
+                )
+            word = unicodedata.normalize("NFC", fields[0].strip())
+            pos = fields[1].strip()
+            label = fields[2].strip() if len(fields) == 3 else "O"
+            if not word or not pos:
+                raise ParseError("word and pos must be non-empty", line=lineno)
+            if any(ch.isspace() for ch in word) or any(ch.isspace() for ch in pos):
+                raise ParseError("word and pos cannot contain whitespace", line=lineno)
+            if label not in LABELS:
+                raise ParseError(f"label {label!r} not in {LABELS}", line=lineno)
+            sentence.append((word, pos, label))
+        sentences.append(sentence)
     return sentences
 
 
@@ -168,7 +165,7 @@ def _unescape(text: str) -> str:
 def save_model(model: CrfModel, target: str | Path | IO[str]) -> None:
     """Versioned UTF-8 text.  Weight values use repr(), which round-trips
     doubles exactly."""
-    template_lines = serialize_template(model.template).splitlines()
+    template_lines = split_lines(serialize_template(model.template))
     lines = [
         f"{MODEL_MAGIC} {MODEL_VERSION}",
         f"rho {model.rho!r}",
@@ -207,11 +204,7 @@ def _count(text: str, what: str, line: int) -> int:
 
 
 def load_model(source: str | Path | IO[str]) -> CrfModel:
-    # split on "\n" alone: escaped keys may hold exotic line separators
-    # (NEL, U+2028) that splitlines() would treat as line breaks
-    lines = read_text(source).split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = split_lines(read_text(source))
 
     def need(index: int, what: str) -> str:
         if index >= len(lines):
@@ -236,9 +229,6 @@ def load_model(source: str | Path | IO[str]) -> CrfModel:
 
     n_template = _count(header(3, "template"), "template", line=4)
     body = [need(4 + i, "template body") for i in range(n_template)]
-    for lineno, raw in enumerate(body, start=5):
-        if len((raw + "\n").splitlines()) != 1:  # parse_template would split it
-            raise ParseError(f"line break inside template line {raw!r}", line=lineno)
     # blank lines in front keep parse_template's line numbers the file's
     template = parse_template("\n" * 4 + "\n".join(body))
 

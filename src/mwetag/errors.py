@@ -2,7 +2,14 @@
 
 
 class MweTagError(Exception):
-    """Base class for every error this package raises deliberately."""
+    """Base class for every error this package raises deliberately. A 1-based
+    file line, when given, prefixes the message and is kept as ``line``."""
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
 
 
 class ConfigError(MweTagError):
@@ -10,13 +17,7 @@ class ConfigError(MweTagError):
 
 
 class ParseError(MweTagError):
-    """Malformed file content. Prefixes the message with a 1-based line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """Malformed file content."""
 
 
 class InputError(MweTagError):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from .errors import ConfigError, InputError
-from .stemmer import MIN_STEM, AffixLexicon, read_text, stem
+from .errors import InputError
+from .stemmer import MIN_STEM, AffixLexicon, check_entry, read_entries, stem
 
 LABELS = ("O", "B-MWE", "I-MWE")
 
@@ -71,26 +71,18 @@ class Gazetteer:
 
     def __post_init__(self) -> None:
         for name in ("salutations", "followups"):
-            entries = frozenset(unicodedata.normalize("NFC", e) for e in getattr(self, name))
-            if any(not e for e in entries):
-                raise ConfigError(f"empty {name} entry")
+            entries = frozenset(check_entry(e, name) for e in getattr(self, name))
             object.__setattr__(self, name, entries)
-
-
-def _read_gazetteer_lines(source: str | Path | IO[str]) -> frozenset[str]:
-    return frozenset(
-        raw.strip() for raw in read_text(source).splitlines()
-        if raw.strip() and not raw.lstrip().startswith("#")
-    )
 
 
 def load_gazetteer(
     salutation_source: str | Path | IO[str], followup_source: str | Path | IO[str]
 ) -> Gazetteer:
-    """One entry per line, ``#`` comments and blanks ignored, NFC-normalized."""
+    """Read both word lists with read_entries, as affix lists are read,
+    except that either list may be empty."""
     return Gazetteer(
-        salutations=_read_gazetteer_lines(salutation_source),
-        followups=_read_gazetteer_lines(followup_source),
+        salutations=frozenset(read_entries(salutation_source, "salutations")),
+        followups=frozenset(read_entries(followup_source, "followups")),
     )
 
 

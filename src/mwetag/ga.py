@@ -19,6 +19,7 @@ from .crf import TrainConfig, train_and_decode
 from .errors import InputError, ParseError
 from .evaluation import score
 from .features import Sentence
+from .stemmer import content_lines
 from .templates import GeneCatalogue, chromosome_to_template
 
 _INIT_STREAM = 0
@@ -260,14 +261,12 @@ def history_to_csv(history: Sequence[GenerationRecord]) -> str:
 
 
 def history_from_csv(text: str) -> list[GenerationRecord]:
-    lines = text.splitlines()
-    if not lines or lines[0] != "generation,best_fitness,mean_fitness,best_bits":
+    rows = content_lines(text)
+    if next(rows, None) != (1, "generation,best_fitness,mean_fitness,best_bits"):
         raise ParseError("missing history header", line=1)
     records = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
+    for lineno, row in rows:
+        parts = row.split(",")
         if len(parts) != 4:
             raise ParseError(f"expected 4 fields, got {len(parts)}", line=lineno)
         try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterator
 
 from .errors import ConfigError, InputError, ParseError
 
@@ -32,9 +32,7 @@ class AffixLexicon:
 
     def __post_init__(self) -> None:
         for name, entries in (("prefix", self.prefixes), ("suffix", self.suffixes)):
-            normalized = tuple(_nfc(e) for e in entries)
-            if any(not e for e in normalized):
-                raise ConfigError(f"empty {name} entry")
+            normalized = tuple(check_entry(e, name) for e in entries)
             if len(set(normalized)) != len(normalized):
                 dupes = sorted({e for e in normalized if normalized.count(e) > 1})
                 raise ConfigError(f"duplicate {name} entries: {', '.join(dupes)}")
@@ -61,46 +59,66 @@ def read_text(source: str | Path | IO[str]) -> str:
     """The whole text of a UTF-8 file path or open text stream, less a leading
     byte-order mark; bytes that are not UTF-8 raise ParseError."""
     try:
-        if hasattr(source, "read"):
-            text = source.read()
-        else:  # universal newlines, as in text mode
-            data = Path(source).read_bytes()
-            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text = source.read() if hasattr(source, "read") else Path(source).read_bytes().decode()
     except UnicodeDecodeError as exc:
-        line = None if hasattr(source, "read") else data.count(b"\n", 0, exc.start) + 1
+        line = None  # a stream is decoded in chunks, so it has no line to name
+        if not hasattr(source, "read"):  # "?" stands in for the bad byte
+            line = len(split_lines(exc.object[: exc.start].decode() + "?"))
         raise ParseError(f"not UTF-8: {exc.reason}", line=line) from None
     return text.removeprefix("\ufeff")
 
 
-def _read_affix_lines(source: str | Path | IO[str], kind: str) -> tuple[str, ...]:
-    entries: list[str] = []
-    seen: dict[str, int] = {}
-    for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        entry = _nfc(raw.strip())
-        if entry in seen:
+def split_lines(text: str) -> list[str]:
+    """The lines of text, broken only at "\\n", "\\r\\n" or "\\r" as in text mode
+    (str.splitlines also breaks at VT, FF, NEL, U+2028 and more)."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each line that is not blank or a ``#`` comment."""
+    for lineno, raw in enumerate(split_lines(text), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def check_entry(entry: str, kind: str, line: int | None = None) -> str:
+    """The NFC form of a list entry.  An entry that is empty or holds
+    whitespace could never match a token, so it raises ConfigError."""
+    entry = _nfc(entry)
+    if entry.split() != [entry]:
+        raise ConfigError(f"{kind} entry {entry!r} is empty or holds whitespace", line=line)
+    return entry
+
+
+def read_entries(source: str | Path | IO[str], kind: str) -> tuple[str, ...]:
+    """A list file's entries in order, one per content line, each through
+    check_entry; a repeated entry raises ConfigError naming both lines."""
+    first_line: dict[str, int] = {}
+    for lineno, line in content_lines(read_text(source)):
+        entry = check_entry(line, kind, lineno)
+        if entry in first_line:
             raise ConfigError(
-                f"{kind} line {lineno}: duplicate entry {entry!r}"
-                f" (first seen on line {seen[entry]})"
+                f"duplicate {kind} entry {entry!r} (first seen on line {first_line[entry]})",
+                line=lineno,
             )
-        seen[entry] = lineno
-        entries.append(entry)
-    if not entries:
-        raise ConfigError(f"{kind} list is empty")
-    return tuple(entries)
+        first_line[entry] = lineno
+    return tuple(first_line)
 
 
 def load_affix_lexicon(
     prefix_source: str | Path | IO[str], suffix_source: str | Path | IO[str]
 ) -> AffixLexicon:
-    """Read prefix and suffix lists: one affix per line, ``#`` comments and
-    blank lines ignored, surrounding whitespace trimmed, NFC-normalized.
-    Duplicates and empty lists raise ConfigError."""
-    return AffixLexicon(
-        prefixes=_read_affix_lines(prefix_source, "prefixes"),
-        suffixes=_read_affix_lines(suffix_source, "suffixes"),
-    )
+    """The prefix and suffix lists read by read_entries; an empty one raises ConfigError."""
+    lists = []
+    for kind, source in (("prefix", prefix_source), ("suffix", suffix_source)):
+        lists.append(read_entries(source, kind))
+        if not lists[-1]:
+            raise ConfigError(f"{kind} list is empty")
+    return AffixLexicon(*lists)
 
 
 def check_min_stem(min_stem: int) -> None:

@@ -30,6 +30,7 @@ from .features import (
     SUFFIX_SLOTS,
     TokenRecord,
 )
+from .stemmer import content_lines
 
 _MACRO_LINE = re.compile(r"^(U[A-Za-z0-9_]*):(.*)$")
 _REF = re.compile(r"^%x\[(-?\d+),(\d+)\]$")
@@ -69,16 +70,13 @@ def parse_template(text: str) -> Template:
     macros: list[FeatureMacro] = []
     seen: dict[str, int] = {}
     bigram = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         if line == "B":
             bigram = True
             continue
         m = _MACRO_LINE.match(line)
         if m is None:
-            raise ParseError(f"unrecognized template line {raw!r}", line=lineno)
+            raise ParseError(f"unrecognized template line {line!r}", line=lineno)
         macro_id, body = m.group(1), m.group(2)
         if macro_id in seen:
             raise ParseError(

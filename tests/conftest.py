@@ -9,6 +9,10 @@ from mwetag.features import NUM_COLUMNS, TokenRecord
 from mwetag.stemmer import AffixLexicon
 
 
+# str.splitlines() also breaks lines at these; a file line ends only at \n, \r\n or \r
+NOT_LINE_ENDS = {"VT": "\x0b", "FF": "\x0c", "NEL": "\x85", "LS": "\u2028"}
+
+
 def make_record(
     word: str = "token",
     pos: str = "XX",

@@ -15,6 +15,7 @@ from mwetag.crf import CrfModel, TrainConfig
 from mwetag.errors import ConfigError
 from mwetag.ga import GaConfig, crossover
 from tests import make_fixtures
+from tests.conftest import NOT_LINE_ENDS
 
 DATA = Path(__file__).parent / "data"
 RAW = str(DATA / "synthetic_raw.txt")
@@ -253,6 +254,25 @@ def test_config_file_unknown_key(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_run_config(cfg)
     assert "line 1" in str(exc.value)
+
+
+def test_config_file_repeated_key_names_both_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rho = 5\n# a later change\nrho = 6\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="^line 3: setting 'rho' repeats line 1$") as exc:
+        load_run_config(cfg)
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("end", NOT_LINE_ENDS.values(), ids=list(NOT_LINE_ENDS))
+def test_config_file_breaks_lines_only_at_newlines(tmp_path, end):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"rho = 5{end}\nseed = 3\n", encoding="utf-8")
+    assert load_run_config(cfg).rho == 5.0
+    cfg.write_text(f"rho = 5{end}\nvelocity = 11\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="^line 2: unknown setting 'velocity'") as exc:
+        load_run_config(cfg)
+    assert exc.value.line == 2
 
 
 def test_config_file_bad_value(tmp_path):

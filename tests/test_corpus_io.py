@@ -24,7 +24,7 @@ from mwetag.crf import CrfModel, LabelSet
 from mwetag.errors import InputError, ParseError
 from mwetag.features import LABELS, NUM_COLUMNS
 from mwetag.templates import parse_template
-from tests.conftest import make_record
+from tests.conftest import NOT_LINE_ENDS, make_record
 
 field_text = st.text(
     alphabet=st.characters(
@@ -109,6 +109,28 @@ def test_column_file_bad_label():
     with pytest.raises(ParseError) as exc:
         read_column_file(io.StringIO(row + "\n"))
     assert "line 1" in str(exc.value)
+
+
+@pytest.mark.parametrize("end", NOT_LINE_ENDS.values(), ids=list(NOT_LINE_ENDS))
+def test_raw_and_column_files_break_lines_only_at_newlines(end):
+    raw = f"w\tNN{end}\nx\tNN\n"
+    assert read_raw(io.StringIO(raw)) == [[("w", "NN", "O"), ("x", "NN", "O")]]
+    with pytest.raises(ParseError, match="^line 2: label 'Q'"):
+        read_raw(io.StringIO(raw.replace("x\tNN", "x\tNN\tQ")))
+    row = " ".join(["w"] + ["0"] * 20 + ["NN", "O"])
+    corpus = read_column_file(io.StringIO(f"{row}{end}\n{row}\n"))
+    assert [len(s) for s in corpus] == [2]
+    with pytest.raises(ParseError, match="^line 2: expected 23 fields"):
+        read_column_file(io.StringIO(f"{row}{end}\n{row} extra\n"))
+
+
+def test_line_ends_are_those_of_text_mode(tmp_path):
+    path = tmp_path / "raw.txt"
+    path.write_bytes(b"a\tNN\rb\tNN\r\n\r\nc\tNN\nd\tNN\n")
+    assert [[w for w, _, _ in s] for s in read_raw(path)] == [["a", "b"], ["c", "d"]]
+    path.write_bytes(b"a\tNN\rb\tNN\r\nc\tNN\nd\xe9\tNN\n")
+    with pytest.raises(ParseError, match="^line 4: not UTF-8"):
+        read_raw(path)
 
 
 def test_write_rejects_fields_with_whitespace():
@@ -296,7 +318,7 @@ def test_load_model_rejects_garbage_header(tmp_path):
         (3, "template ²"),  # a digit, but not an ASCII one
         (7, "weights ³"),
         (5, "U07:%x[-1,99]"),  # the template's line 2 is the file's line 6
-        (4, "U00:%x[0,0]\x0bx"),  # a vertical tab would split the template line
+        (4, "U00:%x[0,0]\x0bx"),  # a vertical tab ends no line: a bad reference
     ],
 )
 def test_load_model_rejects_bad_values(tmp_path, line_index, replacement):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mwetag.errors import InputError
+from mwetag.errors import ConfigError, InputError
 from mwetag.features import (
     ABSENT,
     COL_DIGIT,
@@ -248,6 +248,26 @@ def test_load_gazetteer_reads_both_lists():
     assert "Mr." in gaz.salutations
     assert "Shri" in gaz.salutations
     assert "City" in gaz.followups
+
+
+def test_load_gazetteer_follows_the_affix_list_rules():
+    text = "# salutations\n  Shri  \nMr.\n\nSeñor\n"
+    gaz = load_gazetteer(io.StringIO(text), io.StringIO(""))  # a list may be empty
+    assert gaz == Gazetteer(frozenset({"Shri", "Mr.", "Señor"}), frozenset())
+    with pytest.raises(ConfigError, match="^line 1: salutations entry 'Shri Ram'") as exc:
+        load_gazetteer(io.StringIO("Shri Ram\nShri Ram\nMr.\n"), io.StringIO(""))
+    assert exc.value.line == 1
+    with pytest.raises(ConfigError, match="^line 3: .*'City' .*line 1") as exc:
+        load_gazetteer(io.StringIO(""), io.StringIO("City\nTown\nCity\n"))
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("entry", ["Shri Ram", "a\u2028b", ""])
+def test_gazetteer_rejects_entries_that_are_empty_or_hold_whitespace(entry):
+    with pytest.raises(ConfigError, match="is empty or holds whitespace"):
+        Gazetteer(salutations=frozenset({entry}), followups=frozenset())
+    with pytest.raises(ConfigError, match="is empty or holds whitespace"):
+        Gazetteer(salutations=frozenset(), followups=frozenset({entry}))
 
 
 def test_labels_constant():

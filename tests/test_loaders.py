@@ -3,8 +3,9 @@
 Each format starts from a small valid file.  Hypothesis then edits up to three
 of its lines: it swaps the value after a line's last separator for one of the
 format's values, or replaces, inserts or deletes whole lines built from the
-format's tokens.  Whatever the result, only MweTagError may escape, and a
-ParseError names its line.
+format's tokens, among them characters that str.splitlines() takes for line
+ends.  Whatever the result, only MweTagError may escape, a ParseError names its
+line, and any error whose message names a line keeps it as ``line``.
 """
 
 from __future__ import annotations
@@ -18,10 +19,16 @@ from hypothesis import strategies as st
 from mwetag.cli import load_run_config
 from mwetag.corpus import load_model, read_column_file, read_raw
 from mwetag.errors import MweTagError, ParseError
+from mwetag.features import load_gazetteer
 from mwetag.ga import history_from_csv
+from mwetag.stemmer import load_affix_lexicon
 from mwetag.templates import parse_template
+from tests.conftest import NOT_LINE_ENDS
 
 _ROW = " ".join(["w"] + ["0"] * 20 + ["NN", "B-MWE"])
+_ENTRIES = ["# list", "Shri", "", "  Mr. ", "é"]
+_ENTRY_VALUES = ["Shri", "e\u0301", "a b", "#", " ", ""]
+_ENTRY_TOKENS = ["Shri", "Mr.", "é", "e", "\u0301", "#", " ", "\t", ""]
 
 # loader, valid lines, value separator, values, line tokens
 FORMATS = {
@@ -79,12 +86,21 @@ FORMATS = {
         [" nan", " -1", " ²", " x", " span", ""],
         ["rho", "mode", "folds", "seed", "bogus", "=", " ", "1", "#", ""],
     ),
+    "load_affix_lexicon": (
+        lambda text: load_affix_lexicon(io.StringIO(text), io.StringIO(text)),
+        _ENTRIES, " ", _ENTRY_VALUES, _ENTRY_TOKENS,
+    ),
+    "load_gazetteer": (
+        lambda text: load_gazetteer(io.StringIO(text), io.StringIO(text)),
+        _ENTRIES, " ", _ENTRY_VALUES, _ENTRY_TOKENS,
+    ),
 }
 
 
 @st.composite
 def edited(draw, lines: list[str], sep: str, values: list[str], tokens: list[str]) -> str:
     lines = list(lines)
+    tokens = tokens + list(NOT_LINE_ENDS.values())
     new_line = st.lists(st.sampled_from(tokens), max_size=5).map("".join)
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["value", "value", "replace", "insert", "delete"]))
@@ -111,5 +127,5 @@ def test_loaders_raise_only_their_own_errors(name, data):
         load(text)
     except ParseError as exc:
         assert exc.line is not None, str(exc)
-    except MweTagError:
-        pass
+    except MweTagError as exc:
+        assert exc.line is not None or not str(exc).startswith("line "), str(exc)

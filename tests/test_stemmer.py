@@ -192,6 +192,20 @@ def test_lexicon_rejects_duplicate_entries():
         AffixLexicon(prefixes=("a", "a"), suffixes=("x",))
 
 
+def test_loader_rejects_entries_that_hold_whitespace():
+    with pytest.raises(ConfigError, match="^line 2: prefix entry 'a b'") as exc:
+        load_affix_lexicon(io.StringIO("x\n  a b \n"), io.StringIO("y\n"))
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("entry", ["a b", "a\u2028b", ""])
+def test_lexicon_rejects_entries_that_are_empty_or_hold_whitespace(entry):
+    with pytest.raises(ConfigError, match="is empty or holds whitespace"):
+        AffixLexicon(prefixes=(entry,), suffixes=("x",))
+    with pytest.raises(ConfigError, match="is empty or holds whitespace"):
+        AffixLexicon(prefixes=("x",), suffixes=(entry,))
+
+
 def test_ten_suffix_decomposition_with_packaged_lists():
     from importlib import resources
 

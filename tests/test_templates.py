@@ -17,7 +17,7 @@ from mwetag.templates import (
     parse_template,
     serialize_template,
 )
-from tests.conftest import make_record
+from tests.conftest import NOT_LINE_ENDS, make_record
 
 
 def test_parse_single_macro():
@@ -51,6 +51,15 @@ def test_parse_duplicate_macro_id_rejected():
     with pytest.raises(ParseError) as exc:
         parse_template("U01:%x[0,0]\nU01:%x[1,0]\n")
     assert "line 2" in str(exc.value)
+
+
+@pytest.mark.parametrize("end", NOT_LINE_ENDS.values(), ids=list(NOT_LINE_ENDS))
+def test_parse_breaks_lines_only_at_newlines(end):
+    assert len(parse_template(f"U00:%x[0,0]{end}\nU01:%x[0,1]\n").macros) == 2
+    with pytest.raises(ParseError, match="^line 2: duplicate macro id 'U00'"):
+        parse_template(f"U00:%x[0,0]{end}\nU00:%x[0,1]\n")
+    with pytest.raises(ParseError, match="^line 1: macro U00: bad reference"):
+        parse_template(f"U00:%x[0,0]{end}U01:%x[0,1]\n")
 
 
 def test_parse_duplicate_refs_under_distinct_ids_allowed():
