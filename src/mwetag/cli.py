@@ -30,7 +30,8 @@ from .evaluation import DEFAULT_MODE, MODES, render_csv, render_text, score
 from .features import TokenRecord, encode_corpus, load_gazetteer
 from .ga import GaConfig, history_from_csv, history_to_csv, run_ga
 from .stemmer import (
-    MIN_STEM, check_min_stem, content_lines, load_affix_lexicon, read_text, split_lines, stem
+    MIN_STEM, check_entry, check_min_stem, content_lines, load_affix_lexicon, read_text,
+    split_lines, stem,
 )
 from .templates import (
     chromosome_to_template,
@@ -165,7 +166,11 @@ def _require(config: RunConfig, *names: str) -> None:
 
 def _cmd_stem(args: argparse.Namespace, config: RunConfig) -> int:
     lexicon = _load_lexicon(config)
-    words = args.words or [w.strip() for w in split_lines(read_text(sys.stdin)) if w.strip()]
+    # a word that is empty or holds whitespace would break the tab-separated rows
+    lines = [(w, None) for w in args.words] or [
+        (w.strip(), n) for n, w in enumerate(split_lines(read_text(sys.stdin)), 1) if w.strip()
+    ]
+    words = [check_entry(w, "word", line) for w, line in lines]
     for word in words:
         result = stem(word, lexicon, config.min_stem)
         print(

@@ -138,7 +138,7 @@ def viterbi_decode(model: CrfModel, rows: Sequence[TokenRecord]) -> list[str]:
 
 def marginals(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
     """Posterior node marginals (T, L) and edge marginals (T-1, L, L)."""
-    node, edge = _posteriors(*_as_batch(lattice), with_edges=True)
+    node, edge = _posteriors(*_as_batch(lattice))
     return node[0], edge[0]
 
 
@@ -152,14 +152,14 @@ class _Compiled:
     vocab: dict[str, int]  # feature string -> row, numbered 0..n-1 in first-seen order
     feats: np.ndarray  # (N, Tmax, M) int32 feature rows, pad positions zeroed
     gold: np.ndarray  # (N, Tmax) int32 label indices, pad positions zeroed
-    mask: np.ndarray  # (N, Tmax) bool
+    mask: np.ndarray  # (N, Tmax) bool; sentences are left-padded, so all end at Tmax - 1
     bigram: bool  # the template's B line; without it the transitions stay zero
 
 
 def _compile(template: Template, data: Sequence[Sequence[TokenRecord]]) -> _Compiled:
     """Intern a batch's feature strings to integer rows in first-seen order
-    and compile its labels.  Every TokenRecord carries a label (O unless
-    given), and scoring never reads them."""
+    and compile its labels, padding each sentence on the left.  Every
+    TokenRecord carries a label (O unless given), and scoring never reads them."""
     if not len(data):
         raise InputError("expected at least one sentence, got none")
     vocab: dict[str, int] = {}
@@ -169,13 +169,13 @@ def _compile(template: Template, data: Sequence[Sequence[TokenRecord]]) -> _Comp
     for n, rows in enumerate(data):
         if not len(rows):
             raise InputError(f"sentence {n + 1} is empty")
-        gold[n, : len(rows)] = [LABELS.index(row.label) for row in rows]
-        feats[n, : len(rows)] = [
+        gold[n, t_max - len(rows) :] = [LABELS.index(row.label) for row in rows]
+        feats[n, t_max - len(rows) :] = [
             [vocab.setdefault(s, len(vocab)) for s in expand_macros(template, rows, t)]
             for t in range(len(rows))
         ]
     lengths = np.array([len(rows) for rows in data])
-    mask = np.arange(t_max) < lengths[:, None]
+    mask = np.arange(t_max) >= t_max - lengths[:, None]
     return _Compiled(vocab, feats, gold, mask, bigram=template.include_label_bigram)
 
 
@@ -198,41 +198,38 @@ def _unary_batch(wu: np.ndarray, comp: _Compiled) -> np.ndarray:
     return wu[comp.feats].sum(axis=2)
 
 
-def _forward_batch(e: np.ndarray, wt: np.ndarray, mask: np.ndarray, reduce=_lse) -> np.ndarray:
-    """The forward recursion: alpha with log-sum-exp, Viterbi scores with max."""
+def _messages(
+    e: np.ndarray, w: np.ndarray, mask: np.ndarray, forward: bool, reduce=_lse
+) -> np.ndarray:
+    """One message pass over a left-padded batch.  The message into position t
+    reduces, over the labels of its neighbour s (t - 1 forward, t + 1 backward),
+    e[s] + message[s] + w, and is zero where s is padding.  Forward over wt,
+    e + messages is alpha under log-sum-exp and Viterbi's delta under max;
+    backward over wt.T, the messages are beta."""
     n, t_max, L = e.shape
-    alpha = np.empty((n, t_max, L))
-    alpha[:, 0] = e[:, 0]
-    for t in range(1, t_max):
-        nxt = reduce(alpha[:, t - 1, :, None] + wt, axis=1) + e[:, t]
-        # finished sentences keep their final alpha so alpha[:, -1] is usable
-        alpha[:, t] = np.where(mask[:, t, None], nxt, alpha[:, t - 1])
-    return alpha
-
-
-def _backward_batch(e: np.ndarray, wt: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    n, t_max, L = e.shape
-    beta = np.zeros((n, t_max, L))
-    for t in range(t_max - 2, -1, -1):
-        nxt = _lse(wt[None] + (e[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2)
-        beta[:, t] = np.where(mask[:, t + 1][:, None], nxt, 0.0)
-    return beta
+    out = np.zeros((n, t_max, L))
+    for t in range(1, t_max) if forward else range(t_max - 2, -1, -1):
+        s = t - 1 if forward else t + 1
+        msg = reduce((e[:, s] + out[:, s])[:, :, None] + w, axis=1)
+        out[:, t] = np.where(mask[:, s, None], msg, 0.0)
+    return out
 
 
 def _log_z_batch(e: np.ndarray, wt: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return _lse(_forward_batch(e, wt, mask)[:, -1], axis=1)
+    return _lse(e[:, -1] + _messages(e, wt, mask, True)[:, -1], axis=1)
 
 
 def _viterbi_batch(e: np.ndarray, wt: np.ndarray, mask: np.ndarray) -> list[list[int]]:
-    """Best label paths: the max forward recursion, every back-pointer at once
-    (first max = lowest label index), then a backtrace over each length."""
-    delta = _forward_batch(e, wt, mask, reduce=np.maximum.reduce)
+    """Best label paths: the max forward pass, every back-pointer at once
+    (first max = lowest label index), then a backtrace from the last
+    position to each sentence's first."""
+    delta = e + _messages(e, wt, mask, True, reduce=np.maximum.reduce)
     back = np.argmax(delta[:, :-1, :, None] + wt, axis=2).tolist()
     paths = []
     for n, last in enumerate(np.argmax(delta[:, -1], axis=1).tolist()):
         path = [last]
-        for t in range(int(mask[n].sum()) - 2, -1, -1):
-            path.append(back[n][t][path[-1]])
+        for row in reversed(back[n][int(mask[n].argmax()) :]):  # from the first real token
+            path.append(row[path[-1]])
         paths.append(path[::-1])
     return paths
 
@@ -240,28 +237,29 @@ def _viterbi_batch(e: np.ndarray, wt: np.ndarray, mask: np.ndarray) -> list[list
 def _path_score(e: np.ndarray, wt: np.ndarray, mask: np.ndarray, paths: np.ndarray) -> float:
     """Total score of the label paths (N, Tmax): their unary entries at the
     unmasked positions plus the transitions between consecutive labels."""
-    flat, valid = paths[mask], mask[:, 1:]
+    flat, valid = paths[mask], mask[:, :-1]
     total = float(e[mask][np.arange(len(flat)), flat].sum())
     return total + float(wt[paths[:, :-1][valid], paths[:, 1:][valid]].sum())
 
 
 def _posteriors(
-    e: np.ndarray, wt: np.ndarray, mask: np.ndarray, with_edges: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Node marginals (N, Tmax, L) and, with_edges, edge marginals
-    (N, Tmax-1, L, L); both are zero at padding."""
-    alpha = _forward_batch(e, wt, mask)
-    beta = _backward_batch(e, wt, mask)
+    e: np.ndarray, wt: np.ndarray, mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node marginals (N, Tmax, L) and edge marginals (N, Tmax-1, L, L); both
+    are zero at padding.  A label pair is real when its first token is.
+    Padding is masked before exp: its scores are arbitrary and may overflow."""
+    alpha = e + _messages(e, wt, mask, True)
+    beta = _messages(e, wt.T, mask, False)
     log_z = _lse(alpha[:, -1], axis=1)
-    node = np.exp(alpha + beta - log_z[:, None, None]) * mask[:, :, None]
-    edge = None
-    if with_edges:
-        edge = np.exp(
-            alpha[:, :-1, :, None]
-            + wt[None, None]
-            + (e[:, 1:] + beta[:, 1:])[:, :, None, :]
-            - log_z[:, None, None, None]
-        ) * mask[:, 1:, None, None]
+    node = np.exp(np.where(mask[:, :, None], alpha + beta - log_z[:, None, None], -np.inf))
+    edge = np.exp(np.where(
+        mask[:, :-1, None, None],
+        alpha[:, :-1, :, None]
+        + wt[None, None]
+        + (e[:, 1:] + beta[:, 1:])[:, :, None, :]
+        - log_z[:, None, None, None],
+        -np.inf,
+    ))
     return node, edge
 
 
@@ -279,7 +277,7 @@ def _count_gradient(
     n_macros = comp.feats.shape[2]
     n_feats, L = wu.shape
     e = _unary_batch(wu, comp)
-    node, edge = _posteriors(e, wt, comp.mask, with_edges=comp.bigram)
+    node, edge = _posteriors(e, wt, comp.mask)
 
     flat_mask = comp.mask.ravel()
     flat_feats = comp.feats.reshape(flat_mask.size, n_macros)[flat_mask]
@@ -292,7 +290,7 @@ def _count_gradient(
 
     gt = np.zeros((L, L))
     if comp.bigram:
-        valid = comp.mask[:, 1:]
+        valid = comp.mask[:, :-1]
         np.add.at(gt, (comp.gold[:, :-1][valid], comp.gold[:, 1:][valid]), 1.0)
         gt -= edge.sum(axis=(0, 1))
     return gu, gt

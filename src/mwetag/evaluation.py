@@ -74,8 +74,9 @@ def score(
 ) -> EvalReport:
     """Compare label sequences sentence by sentence.
 
-    Span mode counts exactly matching (sentence, start, end) spans; token
-    mode counts positions where both sides agree on a non-O label.
+    Both modes count the items the two sides share: span mode exactly
+    matching (sentence, start, end) spans, token mode (sentence, token,
+    label) for each non-O token.
     Percentages are full precision; rounding happens only in rendering.
     """
     if mode not in MODES:
@@ -89,25 +90,20 @@ def score(
             raise InputError(
                 f"sentence {i}: gold has {len(g)} tokens, predicted has {len(p)}"
             )
-    if mode == "span":
-        gold_spans: set[Span] = set()
-        pred_spans: set[Span] = set()
-        for i, (g, p) in enumerate(zip(gold, predicted)):
-            gold_spans.update(extract_spans(g, i))
-            pred_spans.update(extract_spans(p, i))
-        correct = len(gold_spans & pred_spans)
-        gold_total = len(gold_spans)
-        predicted_total = len(pred_spans)
-    else:
-        correct = gold_total = predicted_total = 0
-        for i, (g, p) in enumerate(zip(gold, predicted), start=1):
-            for t, (gl, pl) in enumerate(zip(g, p), start=1):
-                for label in (gl, pl):
-                    if label not in LABELS:
-                        raise InputError(f"sentence {i}, token {t}: unknown label {label!r}")
-                gold_total += gl != "O"
-                predicted_total += pl != "O"
-                correct += gl != "O" and gl == pl
+
+    def items(labels: Sequence[str], i: int) -> set:
+        spans = extract_spans(labels, i)  # also refuses an unknown label
+        if mode == "span":
+            return spans
+        return {(i, t, label) for t, label in enumerate(labels) if label != "O"}
+
+    gold_items: set = set()
+    pred_items: set = set()
+    for i, (g, p) in enumerate(zip(gold, predicted)):
+        gold_items |= items(g, i)
+        pred_items |= items(p, i)
+    correct = len(gold_items & pred_items)
+    gold_total, predicted_total = len(gold_items), len(pred_items)
 
     precision = 100.0 * correct / predicted_total if predicted_total else 0.0
     recall = 100.0 * correct / gold_total if gold_total else 0.0

@@ -307,6 +307,20 @@ def test_stem_reads_stdin(monkeypatch, capsys):
     assert len(lines) == 2
 
 
+def test_stem_refuses_a_word_that_holds_whitespace(monkeypatch, capsys):
+    """A tab inside a word would split its row into five fields, so every word
+    is checked before any row is printed; a stdin word names its line."""
+    monkeypatch.setattr("sys.stdin", io.StringIO("plain\n\nxa\tzb\n"))
+    assert dispatch(["stem", *AFFIX_FLAGS]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 3: word entry 'xa\\tzb' is empty or holds whitespace\n"
+    assert dispatch(["stem", *AFFIX_FLAGS, "plain", "a b"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: word entry 'a b' is empty or holds whitespace\n"
+
+
 def test_non_utf8_input_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys):
     raw = tmp_path / "raw.txt"
     raw.write_bytes(b"word\tNN\nwor\xe9\tNN\n")

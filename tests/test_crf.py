@@ -15,6 +15,8 @@ from mwetag.crf import (
     Lattice,
     TrainConfig,
     _log_z_batch,
+    _lse,
+    _messages,
     _posteriors,
     _viterbi_batch,
     build_lattice,
@@ -236,11 +238,62 @@ def test_marginal_consistency():
     assert np.all(node >= 0.0) and np.all(node <= 1.0 + 1e-12)
 
 
+def reference_forward_batch(e, wt, mask, reduce=_lse):
+    """The forward recursion over right-padded batches that the one message
+    pass replaced, verbatim."""
+    n, t_max, L = e.shape
+    alpha = np.empty((n, t_max, L))
+    alpha[:, 0] = e[:, 0]
+    for t in range(1, t_max):
+        nxt = reduce(alpha[:, t - 1, :, None] + wt, axis=1) + e[:, t]
+        # finished sentences keep their final alpha so alpha[:, -1] is usable
+        alpha[:, t] = np.where(mask[:, t, None], nxt, alpha[:, t - 1])
+    return alpha
+
+
+def reference_backward_batch(e, wt, mask):
+    """The backward recursion over right-padded batches that the one message
+    pass replaced, verbatim."""
+    n, t_max, L = e.shape
+    beta = np.zeros((n, t_max, L))
+    for t in range(t_max - 2, -1, -1):
+        nxt = _lse(wt[None] + (e[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2)
+        beta[:, t] = np.where(mask[:, t + 1][:, None], nxt, 0.0)
+    return beta
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_message_pass_equals_the_reference_recursions(seed):
+    """On ragged batches, alpha (log-sum-exp and max) and beta from the one
+    left-padded pass equal the right-padded recursions bit for bit at every
+    real position; padding holds junk scores that must not leak in."""
+    rng = np.random.default_rng(500 + seed)
+    for _ in range(30):
+        lengths = rng.integers(1, 8, size=int(rng.integers(1, 6)))
+        t_max = int(lengths.max())
+        wt = rng.normal(size=(3, 3)) if rng.integers(0, 2) else np.zeros((3, 3))
+        e_right = rng.normal(size=(len(lengths), t_max, 3)) * 3.0
+        e_left = rng.normal(size=e_right.shape) * 3.0
+        right = np.arange(t_max) < lengths[:, None]
+        left = right[:, ::-1]
+        for n, T in enumerate(lengths):
+            e_left[n, t_max - T :] = e_right[n, :T]
+        for reduce in (_lse, np.maximum.reduce):
+            alpha = e_left + _messages(e_left, wt, left, True, reduce=reduce)
+            want = reference_forward_batch(e_right, wt, right, reduce=reduce)
+            for n, T in enumerate(lengths):
+                assert np.array_equal(alpha[n, t_max - T :], want[n, :T])
+        beta = _messages(e_left, wt.T, left, False)
+        want = reference_backward_batch(e_right, wt, right)
+        for n, T in enumerate(lengths):
+            assert np.array_equal(beta[n, t_max - T :], want[n, :T])
+
+
 @pytest.mark.parametrize("bigram", [True, False])
 def test_batch_padding_leaves_each_sentence_unchanged(bigram):
-    """A sentence padded into a batch with longer ones gets the same log Z,
-    marginals and Viterbi path as on its own, and exactly zero posteriors at
-    padding."""
+    """A sentence left-padded into a batch with longer ones gets the same
+    log Z, marginals and Viterbi path as on its own, and exactly zero
+    posteriors at padding."""
     rng = np.random.default_rng(17)
     lengths = (1, 3, 6, 2)
     # one shared transition matrix: each sentence's own model differs
@@ -253,18 +306,30 @@ def test_batch_padding_leaves_each_sentence_unchanged(bigram):
     e = np.zeros((len(lengths), t_max, 3))
     mask = np.zeros((len(lengths), t_max), dtype=bool)
     for n, lat in enumerate(lattices):
-        e[n, : lengths[n]] = lat.log_unary
-        mask[n, : lengths[n]] = True
+        e[n, t_max - lengths[n] :] = lat.log_unary
+        mask[n, t_max - lengths[n] :] = True
     log_z = _log_z_batch(e, trans, mask)
-    node, edge = _posteriors(e, trans, mask, with_edges=True)
+    node, edge = _posteriors(e, trans, mask)
     paths = _viterbi_batch(e, trans, mask)
     for n, (T, lat) in enumerate(zip(lengths, lattices)):
         own_node, own_edge = marginals(lat)
+        pad = t_max - T
         assert log_z[n] == pytest.approx(log_partition(lat), rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(node[n, :T], own_node, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(edge[n, : T - 1], own_edge, rtol=1e-12, atol=1e-15)
-        assert not node[n, T:].any() and not edge[n, T - 1 :].any()
+        np.testing.assert_allclose(node[n, pad:], own_node, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(edge[n, pad:], own_edge, rtol=1e-12, atol=1e-15)
+        assert not node[n, :pad].any() and not edge[n, :pad].any()
         assert paths[n] == reference_viterbi(lat)
+
+
+@pytest.mark.parametrize("template", [POS_TEMPLATE, POS_UNIGRAM_TEMPLATE], ids=["B", "no-B"])
+def test_padding_scores_never_reach_the_gradient(template, recwarn):
+    """Padding takes the feature row numbered 0, here with a weight so large
+    that its exp overflows; the gradient must stay finite and warn of nothing."""
+    data = [(make_record(pos="a"),), (make_record(pos="b"), make_record(pos="c"))]
+    model = CrfModel(LABELS3, template, {("U00:a", "O"): 800.0}, rho=1e6)
+    grad = gradient(model, data)
+    assert all(math.isfinite(v) for v in grad.values())
+    assert not recwarn.list
 
 
 def tiny_corpus():
