@@ -14,6 +14,7 @@ from .crf import (
     LabelSet,
     Lattice,
     TrainConfig,
+    TrainReport,
     build_lattice,
     gradient,
     log_partition,
@@ -21,6 +22,7 @@ from .crf import (
     sequence_log_prob,
     train,
     train_and_decode,
+    training_reports,
     viterbi_decode,
 )
 from .errors import ConfigError, InputError, MweTagError, ParseError

@@ -24,7 +24,7 @@ from .corpus import (
     save_model,
     write_column_file,
 )
-from .crf import TrainConfig, train, viterbi_decode
+from .crf import TrainConfig, train, training_reports, viterbi_decode
 from .errors import ConfigError, InputError, MweTagError
 from .evaluation import DEFAULT_MODE, MODES, render_csv, render_text, score
 from .features import TokenRecord, encode_corpus, load_gazetteer
@@ -202,7 +202,15 @@ def _cmd_train(args: argparse.Namespace, config: RunConfig) -> int:
     _require(config, "template", "model")
     corpus = read_column_file(args.data, expect_labels=True)
     template = parse_template(read_text(config.template))
-    model = train(list(corpus), template, _settings_for(TrainConfig, config))
+    with training_reports() as reports:
+        model = train(list(corpus), template, _settings_for(TrainConfig, config))
+    (report,) = reports
+    print(
+        f"training stopped: {report.stop_reason} after {report.iterations} iterations, "
+        f"objective {report.objective!r}, gradient inf-norm {report.gradient_norm:.3g}, "
+        f"{report.evaluations} objective evaluations",
+        file=sys.stderr,
+    )
     save_model(model, config.model)
     print(f"trained on {len(corpus)} sentences, {len(model.weights)} weights -> {config.model}")
     return 0

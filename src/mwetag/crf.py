@@ -11,8 +11,9 @@ so identical inputs always produce bit-identical weights.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -55,6 +56,41 @@ class TrainConfig:
             raise InputError(
                 f"gradient_tolerance must be finite and positive, got {self.gradient_tolerance}"
             )
+
+
+@dataclass(frozen=True)
+class TrainReport:
+    """Why and where one fit stopped.
+
+    ``stop_reason`` is ``tolerance`` (the gradient's inf-norm fell below
+    ``gradient_tolerance``), ``max_iterations``, or ``line_search_collapse``
+    (no step down to 1e-15 raised the objective enough).  ``iterations``
+    counts accepted steps.  ``gradient_norm`` is the inf-norm of the last
+    gradient computed: at the final weights, except after
+    ``max_iterations``, where it is the gradient the last step followed.
+    ``evaluations`` counts objective evaluations, one forward pass each."""
+
+    iterations: int
+    stop_reason: str
+    objective: float
+    gradient_norm: float
+    evaluations: int
+
+
+_report_sinks: list[list[TrainReport]] = []
+
+
+@contextmanager
+def training_reports() -> Iterator[list[TrainReport]]:
+    """Collect the TrainReport of every fit that finishes inside the block,
+    in the order they finish; ``train`` and ``train_and_decode`` keep their
+    return values, so this is how a caller learns why training stopped."""
+    sink: list[TrainReport] = []
+    _report_sinks.append(sink)
+    try:
+        yield sink
+    finally:
+        _report_sinks.remove(sink)
 
 
 @dataclass(frozen=True)
@@ -243,12 +279,14 @@ def _path_score(e: np.ndarray, wt: np.ndarray, mask: np.ndarray, paths: np.ndarr
 
 
 def _posteriors(
-    e: np.ndarray, wt: np.ndarray, mask: np.ndarray
+    e: np.ndarray, wt: np.ndarray, mask: np.ndarray, alpha: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Node marginals (N, Tmax, L) and edge marginals (N, Tmax-1, L, L); both
     are zero at padding.  A label pair is real when its first token is.
-    Padding is masked before exp: its scores are arbitrary and may overflow."""
-    alpha = e + _messages(e, wt, mask, True)
+    Padding is masked before exp: its scores are arbitrary and may overflow.
+    alpha, when given, is the forward pass at (e, wt) and is not run again."""
+    if alpha is None:
+        alpha = e + _messages(e, wt, mask, True)
     beta = _messages(e, wt.T, mask, False)
     log_z = _lse(alpha[:, -1], axis=1)
     node = np.exp(np.where(mask[:, :, None], alpha + beta - log_z[:, None, None], -np.inf))
@@ -263,36 +301,42 @@ def _posteriors(
     return node, edge
 
 
-def _log_likelihood(comp: _Compiled, wu: np.ndarray, wt: np.ndarray) -> float:
-    """Conditional log-likelihood of the compiled gold labels."""
-    e = _unary_batch(wu, comp)
-    ll = _path_score(e, wt, comp.mask, comp.gold)
-    return ll - float(_log_z_batch(e, wt, comp.mask).sum())
+def _log_likelihood(
+    comp: _Compiled, e: np.ndarray, wt: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Conditional log-likelihood of the compiled gold labels under unary
+    scores e, and the forward pass (alpha) that normalised it."""
+    alpha = e + _messages(e, wt, comp.mask, True)
+    log_z = float(_lse(alpha[:, -1], axis=1).sum())
+    return _path_score(e, wt, comp.mask, comp.gold) - log_z, alpha
 
 
 def _count_gradient(
-    comp: _Compiled, wu: np.ndarray, wt: np.ndarray
+    comp: _Compiled, e: np.ndarray, wt: np.ndarray, alpha: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(empirical - expected) counts of the unary and transition weights."""
-    n_macros = comp.feats.shape[2]
-    n_feats, L = wu.shape
-    e = _unary_batch(wu, comp)
-    node, edge = _posteriors(e, wt, comp.mask)
+    """(empirical - expected) counts of the unary and transition weights at
+    unary scores e, each scattered by np.bincount: the gold counts over
+    feature * L + label, the node marginals once per label, and the gold
+    label pairs over prev * L + cur."""
+    L = len(LABELS)
+    n_feats, n_macros = len(comp.vocab), comp.feats.shape[2]
+    node, edge = _posteriors(e, wt, comp.mask, alpha)
 
     flat_mask = comp.mask.ravel()
-    flat_feats = comp.feats.reshape(flat_mask.size, n_macros)[flat_mask]
-    flat_node = node.reshape(-1, L)[flat_mask]
-    flat_gold = comp.gold.ravel()[flat_mask]
+    feats = comp.feats.reshape(flat_mask.size, n_macros)[flat_mask]
+    node = node.reshape(-1, L)[flat_mask]
+    gold = comp.gold.ravel()[flat_mask]
 
-    gu = np.zeros((n_feats, L))
-    np.add.at(gu, (flat_feats.ravel(), np.repeat(flat_gold, n_macros)), 1.0)
-    np.add.at(gu, flat_feats.ravel(), -np.repeat(flat_node, n_macros, axis=0))
+    gu = np.bincount((feats * L + gold[:, None]).ravel(), minlength=n_feats * L)
+    gu = gu.reshape(n_feats, L).astype(float)
+    for lab in range(L):
+        gu[:, lab] -= np.bincount(feats.ravel(), np.repeat(node[:, lab], n_macros), n_feats)
 
     gt = np.zeros((L, L))
     if comp.bigram:
         valid = comp.mask[:, :-1]
-        np.add.at(gt, (comp.gold[:, :-1][valid], comp.gold[:, 1:][valid]), 1.0)
-        gt -= edge.sum(axis=(0, 1))
+        pairs = comp.gold[:, :-1][valid] * L + comp.gold[:, 1:][valid]
+        gt = np.bincount(pairs, minlength=L * L).reshape(L, L) - edge.sum(axis=(0, 1))
     return gu, gt
 
 
@@ -301,33 +345,41 @@ def _fit(
 ) -> tuple[_Compiled, np.ndarray, np.ndarray]:
     """Compile labeled data and fit its weights by gradient ascent with a
     backtracking line search from zero init.  Without a B line the
-    transition gradient is zero, so the transitions stay zero."""
+    transition gradient is zero, so the transitions stay zero.
+
+    Unary scores are linear in the weights, so each iteration gathers the
+    gradient's scores eg once and scores a trial step s as e + s * eg, with
+    the penalty the quadratic |w|^2 + 2s<w, g> + s^2 |g|^2; the accepted
+    step's scores and forward pass carry into the next gradient."""
     comp = _compile(template, data)
     wu = np.zeros((len(comp.vocab), len(LABELS)))
     wt = np.zeros((len(LABELS), len(LABELS)))
     rho2 = config.rho**2
 
-    def objective(wu_c: np.ndarray, wt_c: np.ndarray) -> float:
-        penalty = float((wu_c**2).sum()) + float((wt_c**2).sum())
-        return _log_likelihood(comp, wu_c, wt_c) - penalty / (2.0 * rho2)
-
-    obj = objective(wu, wt)
+    e = _unary_batch(wu, comp)
+    obj, alpha = _log_likelihood(comp, e, wt)  # zero weights: no penalty
+    evaluations, iterations, reason = 1, 0, "max_iterations"
     step = 1.0
     for _ in range(config.max_iterations):
-        gu, gt = _count_gradient(comp, wu, wt)
+        gu, gt = _count_gradient(comp, e, wt, alpha)
         gu -= wu / rho2
         gt -= wt / rho2
         grad_norm = max(
             float(np.abs(gu).max()) if gu.size else 0.0, float(np.abs(gt).max())
         )
         if grad_norm < config.gradient_tolerance:
+            reason = "tolerance"
             break
+        eg = _unary_batch(gu, comp)
+        w2 = float((wu**2).sum() + (wt**2).sum())
+        wg = float((wu * gu).sum() + (wt * gt).sum())
         g2 = float((gu**2).sum() + (gt**2).sum())
         s = step * 2.0
         while True:
-            wu_new = wu + s * gu
-            wt_new = wt + s * gt
-            obj_new = objective(wu_new, wt_new)
+            e_new, wt_new = e + s * eg, wt + s * gt
+            ll, alpha_new = _log_likelihood(comp, e_new, wt_new)
+            evaluations += 1
+            obj_new = ll - (w2 + 2.0 * s * wg + s * s * g2) / (2.0 * rho2)
             if obj_new >= obj + 1e-4 * s * g2:  # Armijo sufficient increase
                 break
             s *= 0.5
@@ -335,8 +387,13 @@ def _fit(
                 s = 0.0
                 break
         if s == 0.0:
+            reason = "line_search_collapse"
             break
-        wu, wt, obj, step = wu_new, wt_new, obj_new, s
+        wu, wt, e, alpha, obj, step = wu + s * gu, wt_new, e_new, alpha_new, obj_new, s
+        iterations += 1
+    report = TrainReport(iterations, reason, obj, grad_norm, evaluations)
+    for sink in _report_sinks:
+        sink.append(report)
     return comp, wu, wt
 
 
@@ -346,7 +403,7 @@ def regularized_objective(
     """Conditional log-likelihood of data minus sum(w^2)/(2*rho^2) over the
     model's stored weights."""
     comp, wu, wt = _bind(model, data)
-    ll = _log_likelihood(comp, wu, wt)
+    ll, _ = _log_likelihood(comp, _unary_batch(wu, comp), wt)
     penalty = sum(w * w for w in model.weights.values()) / (2.0 * model.rho**2)
     return ll - penalty
 
@@ -357,7 +414,7 @@ def gradient(
     """Partial derivatives of regularized_objective with respect to every
     weight touched by the data or present in the model."""
     comp, wu, wt = _bind(model, data)
-    gu, gt = _count_gradient(comp, wu, wt)
+    gu, gt = _count_gradient(comp, _unary_batch(wu, comp), wt)
     rho2 = model.rho**2
     out = _arrays_to_weights(comp, gu - wu / rho2, gt - wt / rho2)
     for key, w in model.weights.items():

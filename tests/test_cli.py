@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import inspect
 import io
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from mwetag.cli import RunConfig, dispatch, load_run_config
-from mwetag.corpus import read_column_file
+from mwetag.corpus import load_model, read_column_file
 from mwetag.crf import CrfModel, TrainConfig
 from mwetag.errors import ConfigError
 from mwetag.ga import GaConfig, crossover
@@ -111,6 +112,30 @@ def trained_model(tmp_path_factory, encoded_corpus):
     )
     assert code == 0
     return model
+
+
+@pytest.mark.parametrize(
+    "flags, stop",
+    [
+        (["--max-iterations", "3"], "max_iterations after 3"),
+        (["--tolerance", "1e9"], "tolerance after 0"),
+    ],
+    ids=["max_iterations", "tolerance"],
+)
+def test_train_says_why_it_stopped_on_stderr(tmp_path, encoded_corpus, capsys, flags, stop):
+    template = tmp_path / "template.txt"
+    template.write_text(TEMPLATE_TEXT, encoding="utf-8")
+    model = tmp_path / "model.txt"
+    argv = ["train", str(encoded_corpus), "--template", str(template), "--model", str(model)]
+    assert dispatch([*argv, *flags]) == 0
+    out, err = capsys.readouterr()
+    assert out == f"trained on 50 sentences, {len(load_model(model).weights)} weights -> {model}\n"
+    number = r"-?\d[\d.e+-]*"
+    assert re.fullmatch(
+        rf"training stopped: {stop} iterations, objective {number}, "
+        rf"gradient inf-norm {number}, \d+ objective evaluations\n",
+        err,
+    )
 
 
 def test_train_tag_eval_pipeline(tmp_path, trained_model, encoded_corpus, capsys):

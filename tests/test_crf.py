@@ -5,19 +5,27 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from mwetag import crf
 from mwetag.crf import (
     CrfModel,
     LabelSet,
     Lattice,
     TrainConfig,
+    _arrays_to_weights,
+    _bind,
+    _compile,
+    _fit,
     _log_z_batch,
     _lse,
     _messages,
+    _path_score,
     _posteriors,
+    _unary_batch,
     _viterbi_batch,
     build_lattice,
     decode_lattice,
@@ -29,6 +37,7 @@ from mwetag.crf import (
     sequence_score,
     train,
     train_and_decode,
+    training_reports,
     viterbi_decode,
 )
 from mwetag.errors import InputError
@@ -41,6 +50,7 @@ LABELS3 = LabelSet()
 POS_TEMPLATE = parse_template("U00:%x[0,21]\nB\n")
 POS_UNIGRAM_TEMPLATE = parse_template("U00:%x[0,21]\n")  # no B: transitions stay zero
 WORD_POS_TEMPLATE = parse_template("U00:%x[0,0]\nU01:%x[0,21]\nU02:%x[-1,0]\nB\n")
+WORD_POS_UNIGRAM = parse_template("U00:%x[0,0]\nU01:%x[0,21]\nU02:%x[-1,0]\n")
 WORD_WINDOW_TEMPLATE = parse_template("U00:%x[0,0]\nU01:%x[-1,0]\nU02:%x[1,0]\nB\n")
 
 
@@ -453,6 +463,212 @@ def test_training_converges_by_gradient_norm():
     model = train(data, POS_TEMPLATE, config=config)
     grad = gradient(model, data)
     assert max(abs(v) for v in grad.values()) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "data, config, reason",
+    [
+        pytest.param(tiny_corpus(), TrainConfig(rho=10.0, max_iterations=3), "max_iterations",
+                     id="max_iterations"),
+        pytest.param(tiny_corpus(), TrainConfig(rho=10.0, max_iterations=500), "tolerance",
+                     id="tolerance"),
+        # one token: the objective flattens into rounding noise before the
+        # gradient reaches 1e-12, so no step raises it by the Armijo margin
+        pytest.param([(make_record(pos="a"),)],
+                     TrainConfig(rho=1.0, max_iterations=500, gradient_tolerance=1e-12),
+                     "line_search_collapse", id="line_search_collapse"),
+    ],
+)
+def test_training_reports_why_it_stopped(data, config, reason):
+    with training_reports() as reports:
+        model = train(data, POS_UNIGRAM_TEMPLATE, config=config)
+    (report,) = reports
+    assert report.stop_reason == reason
+    grad_norm = max(abs(v) for v in gradient(model, data).values())
+    if reason == "max_iterations":
+        assert report.iterations == config.max_iterations
+        assert report.gradient_norm >= config.gradient_tolerance
+    else:  # the last gradient was taken at the final weights
+        assert report.iterations < config.max_iterations
+        assert report.gradient_norm == pytest.approx(grad_norm, rel=1e-6, abs=1e-14)
+        assert (grad_norm < config.gradient_tolerance) == (reason == "tolerance")
+    assert report.evaluations > report.iterations
+
+
+@pytest.mark.parametrize("template", [POS_TEMPLATE, POS_UNIGRAM_TEMPLATE], ids=["B", "no-B"])
+def test_reported_objective_is_the_trained_model_objective(template):
+    """The objective carried through training (unary scores moved by s * eg,
+    the penalty as a quadratic in s) equals a fresh evaluation of the model."""
+    data = make_separable_sentences(12, seed=9)
+    with training_reports() as reports:
+        model = train(data, template, config=TrainConfig(rho=10.0, max_iterations=40))
+    (report,) = reports
+    assert report.objective == pytest.approx(regularized_objective(model, data), rel=1e-9)
+
+
+def test_one_gather_per_iteration_and_no_forward_pass_rerun(monkeypatch):
+    """Each iteration gathers unary scores once (for the gradient's direction)
+    and the gradient reuses the accepted point's forward pass, so a fit runs
+    at most iterations + 1 gathers and one forward pass per objective
+    evaluation."""
+    calls = {"gather": 0, "forward": 0}
+
+    def counted_gather(wu, comp):
+        calls["gather"] += 1
+        return unary_batch(wu, comp)
+
+    def counted_messages(e, w, mask, forward, reduce=_lse):
+        calls["forward"] += forward
+        return messages(e, w, mask, forward, reduce)
+
+    unary_batch, messages = crf._unary_batch, crf._messages
+    monkeypatch.setattr(crf, "_unary_batch", counted_gather)
+    monkeypatch.setattr(crf, "_messages", counted_messages)
+    data = make_separable_sentences(12, seed=9)
+    with training_reports() as reports:
+        _fit(data, WORD_POS_TEMPLATE, TrainConfig(rho=10.0, max_iterations=40))
+    (report,) = reports
+    assert report.iterations == 40
+    assert calls["gather"] <= report.iterations + 1
+    assert calls["forward"] <= report.evaluations
+
+
+def reference_log_likelihood(comp, wu, wt):
+    """The parent's _log_likelihood, which gathered unary scores on every
+    call, verbatim."""
+    e = _unary_batch(wu, comp)
+    ll = _path_score(e, wt, comp.mask, comp.gold)
+    return ll - float(_log_z_batch(e, wt, comp.mask).sum())
+
+
+def reference_count_gradient(comp, wu, wt):
+    """The parent's np.add.at gradient scatter, verbatim."""
+    n_macros = comp.feats.shape[2]
+    n_feats, L = wu.shape
+    e = _unary_batch(wu, comp)
+    node, edge = _posteriors(e, wt, comp.mask)
+
+    flat_mask = comp.mask.ravel()
+    flat_feats = comp.feats.reshape(flat_mask.size, n_macros)[flat_mask]
+    flat_node = node.reshape(-1, L)[flat_mask]
+    flat_gold = comp.gold.ravel()[flat_mask]
+
+    gu = np.zeros((n_feats, L))
+    np.add.at(gu, (flat_feats.ravel(), np.repeat(flat_gold, n_macros)), 1.0)
+    np.add.at(gu, flat_feats.ravel(), -np.repeat(flat_node, n_macros, axis=0))
+
+    gt = np.zeros((L, L))
+    if comp.bigram:
+        valid = comp.mask[:, :-1]
+        np.add.at(gt, (comp.gold[:, :-1][valid], comp.gold[:, 1:][valid]), 1.0)
+        gt -= edge.sum(axis=(0, 1))
+    return gu, gt
+
+
+def reference_fit(data, template, config):
+    """The parent's training loop, which gathered unary scores and ran the
+    forward pass afresh for every objective and every gradient, verbatim."""
+    comp = _compile(template, data)
+    wu = np.zeros((len(comp.vocab), len(LABELS)))
+    wt = np.zeros((len(LABELS), len(LABELS)))
+    rho2 = config.rho**2
+
+    def objective(wu_c: np.ndarray, wt_c: np.ndarray) -> float:
+        penalty = float((wu_c**2).sum()) + float((wt_c**2).sum())
+        return reference_log_likelihood(comp, wu_c, wt_c) - penalty / (2.0 * rho2)
+
+    obj = objective(wu, wt)
+    step = 1.0
+    for _ in range(config.max_iterations):
+        gu, gt = reference_count_gradient(comp, wu, wt)
+        gu -= wu / rho2
+        gt -= wt / rho2
+        grad_norm = max(
+            float(np.abs(gu).max()) if gu.size else 0.0, float(np.abs(gt).max())
+        )
+        if grad_norm < config.gradient_tolerance:
+            break
+        g2 = float((gu**2).sum() + (gt**2).sum())
+        s = step * 2.0
+        while True:
+            wu_new = wu + s * gu
+            wt_new = wt + s * gt
+            obj_new = objective(wu_new, wt_new)
+            if obj_new >= obj + 1e-4 * s * g2:  # Armijo sufficient increase
+                break
+            s *= 0.5
+            if s < 1e-15:
+                s = 0.0
+                break
+        if s == 0.0:
+            break
+        wu, wt, obj, step = wu_new, wt_new, obj_new, s
+    return comp, wu, wt
+
+
+def random_ragged_batch(rng, n_words=6):
+    return [
+        tuple(
+            make_record(
+                word=f"w{rng.integers(0, n_words)}",
+                pos=f"p{rng.integers(0, 3)}",
+                label=LABELS[rng.integers(0, 3)],
+            )
+            for _ in range(int(rng.integers(1, 9)))
+        )
+        for _ in range(int(rng.integers(1, 7)))
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fit_matches_the_reference_training_loop(seed, monkeypatch):
+    """On random ragged batches, with and without a B line, the one-gather
+    loop takes the same steps as the parent's loop: the same gradient count,
+    the same objective evaluations and weights within 1e-10."""
+    rng = np.random.default_rng(700 + seed)
+    calls = {"reference_count_gradient": 0, "reference_log_likelihood": 0}
+    module = sys.modules[__name__]
+    for name in calls:
+
+        def counted(*args, name=name, original=getattr(module, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    for data, template in itertools.product(
+        [random_ragged_batch(rng) for _ in range(3)], (WORD_POS_TEMPLATE, WORD_POS_UNIGRAM)
+    ):
+        config = TrainConfig(
+            rho=float(rng.choice([1.0, 10.0])),
+            max_iterations=int(rng.integers(1, 40)),
+            gradient_tolerance=float(rng.choice([1e-4, 0.05])),
+        )
+        calls.update(dict.fromkeys(calls, 0))
+        _, want_wu, want_wt = reference_fit(data, template, config)
+        with training_reports() as reports:
+            _, wu, wt = _fit(data, template, config)
+        (report,) = reports
+        gradients = report.iterations + (report.stop_reason != "max_iterations")
+        assert (gradients, report.evaluations) == tuple(calls.values())
+        np.testing.assert_allclose(wu, want_wu, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(wt, want_wt, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gradient_matches_the_reference_scatter(seed):
+    """The bincount scatter behind gradient() gives the np.add.at counts."""
+    rng = np.random.default_rng(800 + seed)
+    for template in (WORD_POS_TEMPLATE, POS_UNIGRAM_TEMPLATE, parse_template("B\n")):
+        data = random_ragged_batch(rng)
+        fitted = train(data, template, config=TrainConfig(rho=3.0, max_iterations=5))
+        model = CrfModel(LABELS3, template, fitted.weights, rho=3.0)
+        comp, wu, wt = _bind(model, data)
+        gu, gt = reference_count_gradient(comp, wu, wt)
+        want = _arrays_to_weights(comp, gu - wu / 9.0, gt - wt / 9.0)
+        got = gradient(model, data)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=0, abs=1e-10), key
 
 
 def test_train_materializes_label_pairs_for_seen_features():
