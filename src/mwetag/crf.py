@@ -192,26 +192,117 @@ class _Compiled:
     bigram: bool  # the template's B line; without it the transitions stay zero
 
 
-def _compile(template: Template, data: Sequence[Sequence[TokenRecord]]) -> _Compiled:
-    """Intern a batch's feature strings to integer rows in first-seen order
-    and compile its labels, padding each sentence on the left.  Every
+def _frame(data: Sequence[Sequence[TokenRecord]]) -> tuple[np.ndarray, np.ndarray]:
+    """Check a batch and compile what every compile shares: the mask of its
+    sentences padded on the left and their gold label indices.  Every
     TokenRecord carries a label (O unless given), and scoring never reads them."""
-    if not len(data):
+    lengths = [len(rows) for rows in data]
+    if not lengths:
         raise InputError("expected at least one sentence, got none")
+    if 0 in lengths:
+        raise InputError(f"sentence {lengths.index(0) + 1} is empty")
+    t_max = max(lengths)
+    mask = np.arange(t_max) >= t_max - np.array(lengths)[:, None]
+    gold = np.zeros(mask.shape, dtype=np.int32)
+    gold[mask] = [LABELS.index(row.label) for rows in data for row in rows]
+    return mask, gold
+
+
+def _compile(template: Template, data: Sequence[Sequence[TokenRecord]]) -> _Compiled:
+    """Intern a batch's feature strings, as expand_macros spells them, to
+    integer rows in first-seen order.  Binding a stored model compiles this
+    way, since its weights are keyed by those strings."""
+    mask, gold = _frame(data)
     vocab: dict[str, int] = {}
-    t_max = max(len(s) for s in data)
-    feats = np.zeros((len(data), t_max, len(template.macros)), dtype=np.int32)
-    gold = np.zeros((len(data), t_max), dtype=np.int32)
-    for n, rows in enumerate(data):
-        if not len(rows):
-            raise InputError(f"sentence {n + 1} is empty")
-        gold[n, t_max - len(rows) :] = [LABELS.index(row.label) for row in rows]
-        feats[n, t_max - len(rows) :] = [
-            [vocab.setdefault(s, len(vocab)) for s in expand_macros(template, rows, t)]
-            for t in range(len(rows))
-        ]
-    lengths = np.array([len(rows) for rows in data])
-    mask = np.arange(t_max) >= t_max - lengths[:, None]
+    feats = np.zeros((*mask.shape, len(template.macros)), dtype=np.int32)
+    feats[mask] = [
+        [vocab.setdefault(s, len(vocab)) for s in expand_macros(template, rows, t)]
+        for rows in data
+        for t in range(len(rows))
+    ]
+    return _Compiled(vocab, feats, gold, mask, bigram=template.include_label_bigram)
+
+
+def _intern(strings: list[str], ids: dict[str, int]) -> np.ndarray:
+    """The ids of strings, numbering the ones new to ids in first-seen order."""
+    for s in dict.fromkeys(strings):
+        ids.setdefault(s, len(ids))
+    return np.fromiter(map(ids.__getitem__, strings), dtype=np.int32, count=len(strings))
+
+
+def _feature_keys(
+    template: Template, data: Sequence[Sequence[TokenRecord]], mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Key every token's feature under every macro, (n_tokens, M) int32 in
+    token-major order, as the macro's base offset plus its value id; also
+    each macro's number of values and every key's value string.  Each
+    referenced column is interned once; a single-reference macro shifts
+    those ids inside each sentence, and a boundary cell takes the id of its
+    _B-k/_B+k literal in the same column, so a real cell spelled like the
+    literal shares its feature.  A conjunction interns its joined string,
+    the feature's identity.  Macro ids hold no ':', so two keys are one
+    feature exactly when their strings are."""
+    tokens = [row.columns for rows in data for row in rows]
+    lengths = mask.sum(axis=1)
+    length = np.repeat(lengths, lengths)  # each token's sentence length
+    here = np.arange(len(tokens))
+    pos = here - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+    columns: dict[int, tuple[dict[str, int], np.ndarray]] = {}
+
+    def cells(off: int, col: int) -> tuple[dict[str, int], np.ndarray]:
+        if col not in columns:
+            values: dict[str, int] = {}
+            columns[col] = values, _intern([r[col] for r in tokens], values)
+        values, ids = columns[col]
+        shift = max(-len(tokens), min(off, len(tokens)))  # past this every cell is a boundary
+        out = ids[np.clip(here + shift, 0, len(tokens) - 1)]
+        q = pos + shift
+        edge = (q < 0) | (q >= length)
+        if edge.any():
+            beyond = np.where(q < 0, q, q - length + 1)[edge].tolist()
+            out[edge] = _intern([f"_B{k + off - shift:+d}" for k in beyond], values)
+        return values, out
+
+    spaces: list[dict[str, int]] = []  # each macro's values, in id order
+    keys = np.empty((len(tokens), len(template.macros)), dtype=np.int32)
+    for m, macro in enumerate(template.macros):
+        if len(macro.refs) == 1:
+            values, keys[:, m] = cells(*macro.refs[0])
+        else:
+            parts = [
+                np.array(list(values), dtype=object)[ids]
+                for values, ids in (cells(off, col) for off, col in macro.refs)
+            ]
+            values = {}
+            keys[:, m] = _intern(list(map("/".join, zip(*parts))), values)
+        spaces.append(values)
+    sizes = np.array([len(v) for v in spaces], dtype=np.int32)
+    keys += np.cumsum(sizes, dtype=np.int32) - sizes
+    return keys, sizes, np.array([s for v in spaces for s in v], dtype=object)
+
+
+def _compile_columns(template: Template, data: Sequence[Sequence[TokenRecord]]) -> _Compiled:
+    """The _compile of a training batch, built from _feature_keys: the same
+    vocab in the same order and the same arrays, with no string per token
+    and macro.  The keys are numbered in first-seen token-major order, and
+    each distinct feature is spelled once, for vocab."""
+    mask, gold = _frame(data)
+    keys, sizes, names = _feature_keys(template, data, mask)
+    flat = keys.ravel()
+    first = np.full(len(names), flat.size, dtype=np.int32)  # each key's first flat index
+    np.minimum.at(first, flat, np.arange(flat.size, dtype=np.int32))
+    seen = np.zeros(flat.size, dtype=bool)
+    seen[first[first < flat.size]] = True
+    distinct = flat[seen]  # in first-seen order
+    table = np.empty(len(names), dtype=np.int32)
+    table[distinct] = np.arange(len(distinct))
+    feats = np.zeros((*mask.shape, len(template.macros)), dtype=np.int32)
+    feats[mask] = table[keys]
+
+    prefixes = np.array([f"{macro.id}:" for macro in template.macros], dtype=object)
+    spelled = np.repeat(prefixes, sizes)[distinct] + names[distinct]
+    vocab = dict(zip(spelled.tolist(), range(len(distinct))))
     return _Compiled(vocab, feats, gold, mask, bigram=template.include_label_bigram)
 
 
@@ -231,7 +322,13 @@ def _bind(
 
 
 def _unary_batch(wu: np.ndarray, comp: _Compiled) -> np.ndarray:
-    return wu[comp.feats].sum(axis=2)
+    """Unary scores (N, Tmax, L): the weight rows of each position's
+    features, gathered one macro at a time and added in macro order, so no
+    (N, Tmax, M, L) temporary is built."""
+    e = np.zeros((*comp.feats.shape[:2], wu.shape[1]))
+    for feats in comp.feats.transpose(2, 0, 1):  # each macro's (N, Tmax) rows
+        e += wu.take(feats, axis=0)
+    return e
 
 
 def _messages(
@@ -351,7 +448,7 @@ def _fit(
     gradient's scores eg once and scores a trial step s as e + s * eg, with
     the penalty the quadratic |w|^2 + 2s<w, g> + s^2 |g|^2; the accepted
     step's scores and forward pass carry into the next gradient."""
-    comp = _compile(template, data)
+    comp = _compile_columns(template, data)
     wu = np.zeros((len(comp.vocab), len(LABELS)))
     wt = np.zeros((len(LABELS), len(LABELS)))
     rho2 = config.rho**2
@@ -460,7 +557,7 @@ def train_and_decode(
     weight map: the held-out rows are gathered from the trained ones, and
     feature strings unseen in training take the zero row appended to them."""
     comp, wu, wt = _fit(train_sentences, template, config or TrainConfig())
-    test = _compile(template, test_sentences)
+    test = _compile_columns(template, test_sentences)
     rows = [comp.vocab.get(s, len(wu)) for s in test.vocab]
     e = _unary_batch(np.vstack([wu, np.zeros((1, len(LABELS)))])[rows], test)
     return [[LABELS[i] for i in path] for path in _viterbi_batch(e, wt, test.mask)]

@@ -32,18 +32,23 @@ from .features import (
 )
 from .stemmer import content_lines
 
-_MACRO_LINE = re.compile(r"^(U[A-Za-z0-9_]*):(.*)$")
+_MACRO_ID = r"U[A-Za-z0-9_]*"
+_MACRO_LINE = re.compile(rf"^({_MACRO_ID}):(.*)$")
 _REF = re.compile(r"^%x\[(-?\d+),(\d+)\]$")
 
 
 @dataclass(frozen=True)
 class FeatureMacro:
-    """One template macro: an id plus (row offset, column) references."""
+    """One template macro: an id plus (row offset, column) references.  The
+    id is what a template line can spell, U then letters, digits or _, so it
+    never holds the ':' that ends it in a feature string."""
 
     id: str
     refs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if not re.fullmatch(_MACRO_ID, self.id):
+            raise InputError(f"macro id {self.id!r} is not U followed by letters, digits or _")
         if not self.refs:
             raise InputError(f"macro {self.id}: needs at least one %x reference")
         for offset, col in self.refs:

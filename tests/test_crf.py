@@ -19,6 +19,8 @@ from mwetag.crf import (
     _arrays_to_weights,
     _bind,
     _compile,
+    _compile_columns,
+    _Compiled,
     _fit,
     _log_z_batch,
     _lse,
@@ -669,6 +671,124 @@ def test_gradient_matches_the_reference_scatter(seed):
         assert got.keys() == want.keys()
         for key, value in want.items():
             assert got[key] == pytest.approx(value, rel=0, abs=1e-10), key
+
+
+@pytest.mark.parametrize("n_macros", [0, 1, 7, 9, 23, 38])
+def test_per_macro_gather_equals_the_fancy_index_sum(n_macros):
+    """The gather adds each position's weight rows one macro at a time, in
+    macro order, so it equals wu[feats].sum(axis=2), on a fold-sized batch
+    and on a batch of one.  Weights spread over 16 orders of magnitude make
+    any other summation order show."""
+    rng = np.random.default_rng(n_macros)
+    wu = rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-8, 8, size=(500, 1))
+    for shape in ((133, 13), (1, 9)):
+        feats = rng.integers(0, len(wu), size=(*shape, n_macros), dtype=np.int32)
+        comp = _Compiled({}, feats, np.zeros(shape, np.int32), np.ones(shape, bool), True)
+        assert np.array_equal(_unary_batch(wu, comp), wu[feats].sum(axis=2))
+
+
+def assert_same_compile(template, data):
+    want, got = _compile(template, data), _compile_columns(template, data)
+    assert list(got.vocab) == list(want.vocab)
+    for name in ("feats", "gold", "mask"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.bigram == want.bigram
+
+
+def edge_batch(rng):
+    """Ragged sentences of 1-8 tokens whose cells include boundary literals
+    and values holding /."""
+    words = ("w0", "w1", "_B-1", "_B+2", "a/b", "b/c", "a", "c")
+    return [
+        tuple(
+            make_record(
+                word=str(rng.choice(words)),
+                pos=str(rng.choice(("p0", "b/c", "_B-1", "c"))),
+                label=LABELS[rng.integers(0, 3)],
+            )
+            for _ in range(int(rng.integers(1, 9)))
+        )
+        for _ in range(int(rng.integers(1, 7)))
+    ]
+
+
+EDGE_TEMPLATES = {
+    "offsets-3": parse_template("U00:%x[-3,0]\nU01:%x[3,0]\nU02:%x[-1,21]\nU03:%x[2,0]\nB\n"),
+    "conjunctions": parse_template(
+        "U0:%x[0,0]/%x[0,21]\nU1:%x[-1,0]/%x[0,0]/%x[2,21]\nU2:%x[0,0]\n"
+    ),
+    "offsets-past-int64": parse_template(
+        "U0:%x[-100000000000000000000,0]\nU1:%x[100000000000000000000,21]\nU2:%x[9,0]\n"
+    ),
+    "B-only": parse_template("B\n"),
+    "comments-only": parse_template("# no unigram lines\n"),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_column_compile_equals_the_string_compile(seed):
+    """The column compile gives _compile's vocab, in order, and its arrays,
+    on random catalogue chromosomes and on boundary offsets of +-3 and past
+    any sentence or int64, conjunctions over cells holding /, templates
+    without unigram macros and single-token sentences."""
+    rng = np.random.default_rng(900 + seed)
+    catalogue = default_catalogue()
+    chromosomes = [chromosome_to_template(rng.integers(0, 2, 38), catalogue) for _ in range(12)]
+    for template in (*chromosomes, *EDGE_TEMPLATES.values()):
+        assert_same_compile(template, edge_batch(rng))
+        assert_same_compile(template, [edge_batch(rng)[0][:1]])
+
+
+def test_a_cell_spelled_like_a_boundary_literal_shares_its_feature():
+    template = parse_template("U0:%x[-1,0]\nU1:%x[2,0]\n")
+    data = [tuple(make_record(word=w) for w in ("_B-1", "y", "_B+2"))]
+    comp = _compile_columns(template, data)
+    assert list(comp.vocab) == ["U0:_B-1", "U1:_B+2", "U1:_B+1", "U0:y"]
+    assert comp.feats[0].tolist() == [[0, 1], [0, 2], [3, 1]]
+    assert_same_compile(template, data)
+
+
+def test_a_conjunction_is_its_joined_string():
+    """a/b + c and a + b/c join to one string, so they are one feature."""
+    template = parse_template("U0:%x[0,0]/%x[0,21]\n")
+    data = [(make_record(word="a/b", pos="c"), make_record(word="a", pos="b/c"))]
+    comp = _compile_columns(template, data)
+    assert list(comp.vocab) == ["U0:a/b/c"]
+    assert comp.feats[0].tolist() == [[0], [0]]
+    assert_same_compile(template, data)
+
+
+@pytest.mark.parametrize("compile_", [_compile, _compile_columns])
+@pytest.mark.parametrize("template", [POS_TEMPLATE, EDGE_TEMPLATES["B-only"]], ids=["U", "B-only"])
+def test_both_compiles_refuse_a_batch_alike(compile_, template):
+    data = make_separable_sentences(3, seed=4)
+    with pytest.raises(InputError, match="^expected at least one sentence, got none$"):
+        compile_(template, [])
+    with pytest.raises(InputError, match="^sentence 2 is empty$"):
+        compile_(template, [data[0], (), data[1], ()])
+
+
+def test_training_expands_no_strings_and_tagging_one_per_token(monkeypatch):
+    """Training compiles column by column; binding a stored model still
+    spells every position's feature strings, once per token."""
+    calls = []
+
+    def counted(template, rows, t):
+        calls.append(t)
+        return expand(template, rows, t)
+
+    expand = crf.expand_macros
+    monkeypatch.setattr(crf, "expand_macros", counted)
+    train_data = make_separable_sentences(6, seed=2)
+    test_data = make_separable_sentences(3, seed=13)
+    config = TrainConfig(max_iterations=3)
+    model = train(train_data, WORD_WINDOW_TEMPLATE, config)
+    train_and_decode(train_data, test_data, WORD_WINDOW_TEMPLATE, config)
+    assert calls == []
+    for sentence in test_data:
+        viterbi_decode(model, sentence)
+    assert len(calls) == sum(len(s) for s in test_data)
 
 
 def test_train_materializes_label_pairs_for_seen_features():

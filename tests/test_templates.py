@@ -198,3 +198,21 @@ def test_macro_rejects_bad_column():
         FeatureMacro(id="U00", refs=((0, 22),))
     with pytest.raises(InputError):
         FeatureMacro(id="U00", refs=())
+
+
+@pytest.mark.parametrize("bad", ["U1:a", "", "u00", "X00", "U-1", "U 1", "U1/2", "Ué", "U1\n"])
+def test_macro_rejects_an_id_parse_template_cannot_read(bad):
+    """A macro id is U then ASCII letters, digits or _: anything else would
+    serialize to a line parse_template refuses, and an id holding ':' could
+    spell another macro's feature strings."""
+    with pytest.raises(InputError, match="macro id"):
+        FeatureMacro(id=bad, refs=((0, 0),))
+
+
+accepted_ids = st.from_regex(r"U[A-Za-z0-9_]{0,6}", fullmatch=True)
+
+
+@given(st.lists(accepted_ids, min_size=1, max_size=6, unique=True))
+def test_every_accepted_macro_id_round_trips(ids):
+    template = Template(macros=tuple(FeatureMacro(id=i, refs=((0, 0), (-1, 21))) for i in ids))
+    assert parse_template(serialize_template(template)) == template
