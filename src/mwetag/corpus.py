@@ -65,6 +65,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def _write_text(target: str | Path | IO[str], text: str) -> None:
+    """Write text to a stream or, atomically, to a path.  Every reader drops
+    a leading byte-order mark, so text that starts with one (a first cell
+    spelled with U+FEFF) gets a second, and reads back as written."""
+    if text.startswith("\ufeff"):
+        text = "\ufeff" + text
     if hasattr(target, "write"):
         target.write(text)
     else:

@@ -2,18 +2,22 @@
 
 The score of a label sequence is the sum of per-position unary feature
 weights plus label-bigram transition weights; probabilities come from
-normalizing over all sequences, computed in log space.  Training maximizes
-the conditional log-likelihood minus sum(w^2)/(2*rho^2) by batch gradient
-ascent with a backtracking (Armijo) line search from zero initialization,
-so identical inputs always produce bit-identical weights.
+normalizing over all sequences, computed by a forward-backward pass scaled
+in probability space.  Viterbi decoding stays in log space, and so does
+normalisation whenever the scores spread too far for the scaled pass to
+keep every path above underflow.  Training maximizes the conditional
+log-likelihood minus sum(w^2)/(2*rho^2) by batch gradient ascent with a
+backtracking (Armijo) line search from zero initialization, so identical
+inputs always produce bit-identical weights.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -140,7 +144,7 @@ def _as_batch(lattice: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def log_partition(lattice: Lattice) -> float:
     """Log of the sum of exp(score) over every label sequence."""
-    return float(_log_z_batch(*_as_batch(lattice))[0])
+    return float(_forward(*_as_batch(lattice)).log_z[0])
 
 
 def sequence_score(lattice: Lattice, indices: Sequence[int]) -> float:
@@ -149,7 +153,8 @@ def sequence_score(lattice: Lattice, indices: Sequence[int]) -> float:
         raise InputError(f"expected {T} labels, got {len(indices)}")
     if any(not 0 <= i < L for i in indices):
         raise InputError("label index out of range")
-    return _path_score(*_as_batch(lattice), np.asarray([indices]))
+    e, wt, mask = _as_batch(lattice)
+    return _path_score(e, wt, _path_index(mask, np.asarray([indices]), L))
 
 
 def sequence_log_prob(
@@ -190,6 +195,28 @@ class _Compiled:
     gold: np.ndarray  # (N, Tmax) int32 label indices, pad positions zeroed
     mask: np.ndarray  # (N, Tmax) bool; sentences are left-padded, so all end at Tmax - 1
     bigram: bool  # the template's B line; without it the transitions stay zero
+
+    # What training reads on every iteration but never changes, built once.
+    @functools.cached_property
+    def real_feats(self) -> np.ndarray:
+        """The feature rows of the real positions, token-major and flat, as
+        intp: the gradient scatter's index."""
+        return self.feats[self.mask].ravel().astype(np.intp)
+
+    @functools.cached_property
+    def gold_path(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gold labels as _path_index indices."""
+        return _path_index(self.mask, self.gold, len(LABELS))
+
+    @functools.cached_property
+    def gold_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Empirical counts of the unary (n_feats, L) and transition (L, L)
+        weights."""
+        L = len(LABELS)
+        index = self.feats[self.mask] * L + self.gold[self.mask][:, None]
+        gu = np.bincount(index.ravel(), minlength=len(self.vocab) * L)
+        gt = np.bincount(self.gold_path[1], minlength=L * L)
+        return gu.reshape(-1, L).astype(float), gt.reshape(L, L)
 
 
 def _frame(data: Sequence[Sequence[TokenRecord]]) -> tuple[np.ndarray, np.ndarray]:
@@ -348,10 +375,6 @@ def _messages(
     return out
 
 
-def _log_z_batch(e: np.ndarray, wt: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return _lse(e[:, -1] + _messages(e, wt, mask, True)[:, -1], axis=1)
-
-
 def _viterbi_batch(e: np.ndarray, wt: np.ndarray, mask: np.ndarray) -> list[list[int]]:
     """Best label paths: the max forward pass, every back-pointer at once
     (first max = lowest label index), then a backtrace from the last
@@ -367,73 +390,152 @@ def _viterbi_batch(e: np.ndarray, wt: np.ndarray, mask: np.ndarray) -> list[list
     return paths
 
 
-def _path_score(e: np.ndarray, wt: np.ndarray, mask: np.ndarray, paths: np.ndarray) -> float:
-    """Total score of the label paths (N, Tmax): their unary entries at the
-    unmasked positions plus the transitions between consecutive labels."""
-    flat, valid = paths[mask], mask[:, :-1]
-    total = float(e[mask][np.arange(len(flat)), flat].sum())
-    return total + float(wt[paths[:, :-1][valid], paths[:, 1:][valid]].sum())
+def _path_index(mask: np.ndarray, paths: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """The label paths (N, Tmax) as flat indices: into the unary scores
+    (N, Tmax, L) at the unmasked positions, and into the transitions
+    (prev * L + cur) for each pair whose first token is unmasked."""
+    valid = mask[:, :-1]
+    unary = np.flatnonzero(mask) * L + paths[mask]
+    return unary, paths[:, :-1][valid] * L + paths[:, 1:][valid]
+
+
+def _path_score(e: np.ndarray, wt: np.ndarray, path: tuple[np.ndarray, np.ndarray]) -> float:
+    """Total score of the label paths indexed by path (see _path_index): their
+    unary entries plus the transitions between consecutive labels."""
+    unary, pairs = path
+    return float(e.take(unary).sum()) + float(wt.take(pairs).sum())
+
+
+# The widest spread of scores the scaled forward pass takes on; see _forward.
+_SPAN = 600.0
+
+
+class _Forward(NamedTuple):
+    """One forward pass at (e, wt) and each sentence's log Z.  Scaled (scale
+    is set): alpha holds each position's forward probabilities normalised to
+    sum to 1, scale the factors c_t they were divided by, and unary and trans
+    the exps E and W they were built from.  In log space: alpha is log alpha."""
+
+    log_z: np.ndarray  # (N,)
+    alpha: np.ndarray  # (N, Tmax, L)
+    scale: np.ndarray | None = None  # (N, Tmax)
+    unary: np.ndarray | None = None  # (N, Tmax, L)
+    trans: np.ndarray | None = None  # (L, L)
+
+
+def _forward(e: np.ndarray, wt: np.ndarray, mask: np.ndarray) -> _Forward:
+    """The forward pass over a left-padded batch, scaled in probability space
+    (Rabiner 1989, section V.A).  E = exp(e - its max over labels at each
+    position) and W = exp(wt - max wt); each step is one (n, L) @ (L, L)
+    product, a multiply by E[t] and a division by the step's scale factor
+    c_t, the sum over labels.  The message into a position after padding is
+    all ones, so log Z = sum over real t of (log c_t + shift_t), plus
+    (length - 1) * max wt.
+
+    At a real position E is at least exp(-the spread of e over labels), and
+    W at least exp(-the spread of wt).  While the two spreads add up to at
+    most _SPAN, every product of a message and E stays at least exp(-_SPAN),
+    a normal double, so no path is lost to underflow; every c_t stays at
+    least exp(-spread of wt) and every backward factor at most its inverse.
+    Past that, with weights no fit from zero comes near, the pass runs in
+    log space through _messages."""
+    shift = functools.reduce(np.maximum, e.transpose(2, 0, 1))  # e.max(axis=2), 10x faster
+    low = functools.reduce(np.minimum, e.transpose(2, 0, 1))
+    spread = np.max(shift - low, where=mask, initial=0.0) + np.ptp(wt)
+    if not spread <= _SPAN:  # also when a score is not finite
+        alpha = e + _messages(e, wt, mask, True)
+        return _Forward(_lse(alpha[:, -1], axis=1), alpha)
+    n, t_max, L = e.shape
+    unary = np.exp(e - shift[:, :, None])
+    top = wt.max()
+    trans = np.exp(wt - top)
+    alpha = np.empty_like(unary)
+    scale = np.empty((n, t_max))
+    lengths = mask.sum(axis=1)
+    padded = t_max - int(lengths.min())  # positions where some sentence is padding
+    for t in range(t_max):
+        a = unary[:, t]
+        if t:
+            msg = alpha[:, t - 1] @ trans
+            a = a * (np.where(mask[:, t - 1, None], msg, 1.0) if t <= padded else msg)
+        scale[:, t] = c = a.sum(axis=1)
+        np.divide(a, c[:, None], out=alpha[:, t])
+    log_z = np.where(mask, np.log(scale) + shift, 0.0).sum(axis=1) + (lengths - 1) * top
+    return _Forward(log_z, alpha, scale, unary, trans)
 
 
 def _posteriors(
-    e: np.ndarray, wt: np.ndarray, mask: np.ndarray, alpha: np.ndarray | None = None
+    e: np.ndarray,
+    wt: np.ndarray,
+    mask: np.ndarray,
+    fwd: _Forward | None = None,
+    summed: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Node marginals (N, Tmax, L) and edge marginals (N, Tmax-1, L, L); both
-    are zero at padding.  A label pair is real when its first token is.
-    Padding is masked before exp: its scores are arbitrary and may overflow.
-    alpha, when given, is the forward pass at (e, wt) and is not run again."""
-    if alpha is None:
-        alpha = e + _messages(e, wt, mask, True)
-    beta = _messages(e, wt.T, mask, False)
-    log_z = _lse(alpha[:, -1], axis=1)
-    node = np.exp(np.where(mask[:, :, None], alpha + beta - log_z[:, None, None], -np.inf))
-    edge = np.exp(np.where(
-        mask[:, :-1, None, None],
-        alpha[:, :-1, :, None]
-        + wt[None, None]
-        + (e[:, 1:] + beta[:, 1:])[:, :, None, :]
-        - log_z[:, None, None, None],
-        -np.inf,
-    ))
-    return node, edge
+    """Node marginals (N, Tmax, L), zero at padding, and edge marginals
+    (N, Tmax-1, L, L), zero where a pair's first token is padding; summed,
+    the edge marginals' total over the batch (L, L).  fwd, when given, is the
+    forward pass at (e, wt) and is not run again.
+
+    Scaled, the backward factors b_t = W (E_t+1 b_t+1 / c_t+1) need no mask,
+    since every sentence ends at Tmax - 1; the node marginals are alpha * b,
+    and with q_t = E_t b_t / c_t an edge is alpha_t-1 * W * q_t, so their
+    total is W times alpha.T @ q over the real pairs.  In log space padding
+    is masked before exp: its scores are arbitrary and may overflow."""
+    if fwd is None:
+        fwd = _forward(e, wt, mask)
+    valid = mask[:, :-1]
+    if fwd.scale is None:
+        alpha, log_z = fwd.alpha, fwd.log_z
+        beta = _messages(e, wt.T, mask, False)
+        node = np.exp(np.where(mask[:, :, None], alpha + beta - log_z[:, None, None], -np.inf))
+        edge = np.exp(np.where(
+            valid[:, :, None, None],
+            alpha[:, :-1, :, None]
+            + wt[None, None]
+            + (e[:, 1:] + beta[:, 1:])[:, :, None, :]
+            - log_z[:, None, None, None],
+            -np.inf,
+        ))
+        return node, edge.sum(axis=(0, 1)) if summed else edge
+    alpha, trans = fwd.alpha, fwd.trans
+    back = np.ascontiguousarray(trans.T)
+    ratio = fwd.unary / fwd.scale[:, :, None]
+    beta = np.empty_like(alpha)
+    beta[:, -1] = 1.0
+    for t in range(alpha.shape[1] - 1, 0, -1):
+        np.matmul(ratio[:, t] * beta[:, t], back, out=beta[:, t - 1])
+    node = np.where(mask[:, :, None], alpha * beta, 0.0)
+    q = ratio[:, 1:] * beta[:, 1:]
+    if summed:
+        first = (alpha[:, :-1] * valid[:, :, None]).reshape(-1, alpha.shape[2])
+        return node, trans * (first.T @ q.reshape(first.shape))
+    edge = alpha[:, :-1, :, None] * trans * q[:, :, None, :]
+    return node, np.where(valid[:, :, None, None], edge, 0.0)
 
 
 def _log_likelihood(
     comp: _Compiled, e: np.ndarray, wt: np.ndarray
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, _Forward]:
     """Conditional log-likelihood of the compiled gold labels under unary
-    scores e, and the forward pass (alpha) that normalised it."""
-    alpha = e + _messages(e, wt, comp.mask, True)
-    log_z = float(_lse(alpha[:, -1], axis=1).sum())
-    return _path_score(e, wt, comp.mask, comp.gold) - log_z, alpha
+    scores e, and the forward pass that normalised it."""
+    fwd = _forward(e, wt, comp.mask)
+    return _path_score(e, wt, comp.gold_path) - float(fwd.log_z.sum()), fwd
 
 
 def _count_gradient(
-    comp: _Compiled, e: np.ndarray, wt: np.ndarray, alpha: np.ndarray | None = None
+    comp: _Compiled, e: np.ndarray, wt: np.ndarray, fwd: _Forward | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(empirical - expected) counts of the unary and transition weights at
-    unary scores e, each scattered by np.bincount: the gold counts over
-    feature * L + label, the node marginals once per label, and the gold
-    label pairs over prev * L + cur."""
-    L = len(LABELS)
-    n_feats, n_macros = len(comp.vocab), comp.feats.shape[2]
-    node, edge = _posteriors(e, wt, comp.mask, alpha)
-
-    flat_mask = comp.mask.ravel()
-    feats = comp.feats.reshape(flat_mask.size, n_macros)[flat_mask]
-    node = node.reshape(-1, L)[flat_mask]
-    gold = comp.gold.ravel()[flat_mask]
-
-    gu = np.bincount((feats * L + gold[:, None]).ravel(), minlength=n_feats * L)
-    gu = gu.reshape(n_feats, L).astype(float)
+    unary scores e: the compiled gold counts, less the node marginals
+    scattered by np.bincount once per label and the summed edge marginals."""
+    L, n_feats, n_macros = len(LABELS), len(comp.vocab), comp.feats.shape[2]
+    node, edge = _posteriors(e, wt, comp.mask, fwd, summed=True)
+    node = node[comp.mask]
+    gold_u, gold_t = comp.gold_counts
+    gu = gold_u.copy()
     for lab in range(L):
-        gu[:, lab] -= np.bincount(feats.ravel(), np.repeat(node[:, lab], n_macros), n_feats)
-
-    gt = np.zeros((L, L))
-    if comp.bigram:
-        valid = comp.mask[:, :-1]
-        pairs = comp.gold[:, :-1][valid] * L + comp.gold[:, 1:][valid]
-        gt = np.bincount(pairs, minlength=L * L).reshape(L, L) - edge.sum(axis=(0, 1))
+        gu[:, lab] -= np.bincount(comp.real_feats, np.repeat(node[:, lab], n_macros), n_feats)
+    gt = gold_t - edge if comp.bigram else np.zeros((L, L))
     return gu, gt
 
 
@@ -454,11 +556,11 @@ def _fit(
     rho2 = config.rho**2
 
     e = _unary_batch(wu, comp)
-    obj, alpha = _log_likelihood(comp, e, wt)  # zero weights: no penalty
+    obj, fwd = _log_likelihood(comp, e, wt)  # zero weights: no penalty
     evaluations, iterations, reason = 1, 0, "max_iterations"
     step = 1.0
     for _ in range(config.max_iterations):
-        gu, gt = _count_gradient(comp, e, wt, alpha)
+        gu, gt = _count_gradient(comp, e, wt, fwd)
         gu -= wu / rho2
         gt -= wt / rho2
         grad_norm = max(
@@ -474,7 +576,7 @@ def _fit(
         s = step * 2.0
         while True:
             e_new, wt_new = e + s * eg, wt + s * gt
-            ll, alpha_new = _log_likelihood(comp, e_new, wt_new)
+            ll, fwd_new = _log_likelihood(comp, e_new, wt_new)
             evaluations += 1
             obj_new = ll - (w2 + 2.0 * s * wg + s * s * g2) / (2.0 * rho2)
             if obj_new >= obj + 1e-4 * s * g2:  # Armijo sufficient increase
@@ -486,7 +588,7 @@ def _fit(
         if s == 0.0:
             reason = "line_search_collapse"
             break
-        wu, wt, e, alpha, obj, step = wu + s * gu, wt_new, e_new, alpha_new, obj_new, s
+        wu, wt, e, fwd, obj, step = wu + s * gu, wt_new, e_new, fwd_new, obj_new, s
         iterations += 1
     report = TrainReport(iterations, reason, obj, grad_norm, evaluations)
     for sink in _report_sinks:

@@ -54,6 +54,17 @@ def test_column_file_round_trip(corpus):
     assert back == corpus
 
 
+@pytest.mark.parametrize("word", ["\ufeff", "\ufeffab"])
+def test_a_first_cell_that_starts_with_a_byte_order_mark_round_trips(word, tmp_path):
+    """Readers drop a leading byte-order mark, so the writer doubles it."""
+    corpus = Corpus(sentences=((make_record(word=word, label="B-MWE"),),))
+    buffer = io.StringIO()
+    write_column_file(corpus, buffer)
+    assert read_column_file(io.StringIO(buffer.getvalue())) == corpus
+    write_column_file(corpus, tmp_path / "c.col")
+    assert read_column_file(tmp_path / "c.col") == corpus
+
+
 def test_column_write_is_canonical_for_messy_spacing():
     messy = "a b " + " ".join(["0"] * 19) + " NN  O\n"
     corpus = read_column_file(io.StringIO(messy))

@@ -22,7 +22,7 @@ from mwetag.crf import (
     _compile_columns,
     _Compiled,
     _fit,
-    _log_z_batch,
+    _forward,
     _lse,
     _messages,
     _path_score,
@@ -320,7 +320,7 @@ def test_batch_padding_leaves_each_sentence_unchanged(bigram):
     for n, lat in enumerate(lattices):
         e[n, t_max - lengths[n] :] = lat.log_unary
         mask[n, t_max - lengths[n] :] = True
-    log_z = _log_z_batch(e, trans, mask)
+    log_z = _forward(e, trans, mask).log_z
     node, edge = _posteriors(e, trans, mask)
     paths = _viterbi_batch(e, trans, mask)
     for n, (T, lat) in enumerate(zip(lengths, lattices)):
@@ -519,36 +519,90 @@ def test_one_gather_per_iteration_and_no_forward_pass_rerun(monkeypatch):
         calls["gather"] += 1
         return unary_batch(wu, comp)
 
-    def counted_messages(e, w, mask, forward, reduce=_lse):
-        calls["forward"] += forward
-        return messages(e, w, mask, forward, reduce)
+    def counted_forward(e, wt, mask):
+        calls["forward"] += 1
+        return forward(e, wt, mask)
 
-    unary_batch, messages = crf._unary_batch, crf._messages
+    unary_batch, forward = crf._unary_batch, crf._forward
     monkeypatch.setattr(crf, "_unary_batch", counted_gather)
-    monkeypatch.setattr(crf, "_messages", counted_messages)
+    monkeypatch.setattr(crf, "_forward", counted_forward)
     data = make_separable_sentences(12, seed=9)
     with training_reports() as reports:
         _fit(data, WORD_POS_TEMPLATE, TrainConfig(rho=10.0, max_iterations=40))
     (report,) = reports
     assert report.iterations == 40
     assert calls["gather"] <= report.iterations + 1
-    assert calls["forward"] <= report.evaluations
+    assert 0 < calls["forward"] <= report.evaluations
+
+
+# The log-space recursion that the scaled pass replaced, verbatim, as an
+# independent reference for normalisation, posteriors and the gradient.
+
+
+def reference_lse(a: np.ndarray, axis: int) -> np.ndarray:
+    m = np.max(a, axis=axis, keepdims=True)
+    out = m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis)
+
+
+def reference_messages(
+    e: np.ndarray, w: np.ndarray, mask: np.ndarray, forward: bool, reduce=reference_lse
+) -> np.ndarray:
+    """One message pass over a left-padded batch.  The message into position t
+    reduces, over the labels of its neighbour s (t - 1 forward, t + 1 backward),
+    e[s] + message[s] + w, and is zero where s is padding.  Forward over wt,
+    e + messages is alpha under log-sum-exp and Viterbi's delta under max;
+    backward over wt.T, the messages are beta."""
+    n, t_max, L = e.shape
+    out = np.zeros((n, t_max, L))
+    for t in range(1, t_max) if forward else range(t_max - 2, -1, -1):
+        s = t - 1 if forward else t + 1
+        msg = reduce((e[:, s] + out[:, s])[:, :, None] + w, axis=1)
+        out[:, t] = np.where(mask[:, s, None], msg, 0.0)
+    return out
+
+
+def reference_log_z_batch(e: np.ndarray, wt: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    return reference_lse(e[:, -1] + reference_messages(e, wt, mask, True)[:, -1], axis=1)
+
+
+def reference_posteriors(
+    e: np.ndarray, wt: np.ndarray, mask: np.ndarray, alpha: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node marginals (N, Tmax, L) and edge marginals (N, Tmax-1, L, L); both
+    are zero at padding.  A label pair is real when its first token is.
+    Padding is masked before exp: its scores are arbitrary and may overflow.
+    alpha, when given, is the forward pass at (e, wt) and is not run again."""
+    if alpha is None:
+        alpha = e + reference_messages(e, wt, mask, True)
+    beta = reference_messages(e, wt.T, mask, False)
+    log_z = reference_lse(alpha[:, -1], axis=1)
+    node = np.exp(np.where(mask[:, :, None], alpha + beta - log_z[:, None, None], -np.inf))
+    edge = np.exp(np.where(
+        mask[:, :-1, None, None],
+        alpha[:, :-1, :, None]
+        + wt[None, None]
+        + (e[:, 1:] + beta[:, 1:])[:, :, None, :]
+        - log_z[:, None, None, None],
+        -np.inf,
+    ))
+    return node, edge
 
 
 def reference_log_likelihood(comp, wu, wt):
-    """The parent's _log_likelihood, which gathered unary scores on every
-    call, verbatim."""
+    """The log-likelihood as training computed it before it carried unary
+    scores: a fresh gather and a log-space forward pass per call."""
     e = _unary_batch(wu, comp)
-    ll = _path_score(e, wt, comp.mask, comp.gold)
-    return ll - float(_log_z_batch(e, wt, comp.mask).sum())
+    ll = _path_score(e, wt, comp.gold_path)
+    return ll - float(reference_log_z_batch(e, wt, comp.mask).sum())
 
 
 def reference_count_gradient(comp, wu, wt):
-    """The parent's np.add.at gradient scatter, verbatim."""
+    """The np.add.at gradient scatter over log-space posteriors."""
     n_macros = comp.feats.shape[2]
     n_feats, L = wu.shape
     e = _unary_batch(wu, comp)
-    node, edge = _posteriors(e, wt, comp.mask)
+    node, edge = reference_posteriors(e, wt, comp.mask)
 
     flat_mask = comp.mask.ravel()
     flat_feats = comp.feats.reshape(flat_mask.size, n_macros)[flat_mask]
@@ -671,6 +725,145 @@ def test_gradient_matches_the_reference_scatter(seed):
         assert got.keys() == want.keys()
         for key, value in want.items():
             assert got[key] == pytest.approx(value, rel=0, abs=1e-10), key
+
+
+def random_left_padded_scores(rng, scale=3.0):
+    """Unary scores for a ragged left-padded batch; padding holds junk scores
+    that must not leak in."""
+    lengths = rng.integers(1, 10, size=int(rng.integers(1, 7)))
+    t_max = int(lengths.max())
+    mask = np.arange(t_max) >= t_max - lengths[:, None]
+    e = rng.normal(size=(len(lengths), t_max, 3)) * scale
+    e[~mask] = rng.choice([0.0, 800.0, -800.0])
+    return e, mask
+
+
+@pytest.mark.parametrize("bigram", [True, False], ids=["B", "no-B"])
+@pytest.mark.parametrize("seed", range(4))
+def test_scaled_pass_agrees_with_the_log_space_reference(seed, bigram):
+    """On random ragged left-padded batches the scaled pass gives log Z within
+    1e-12 relative, node and edge marginals (per pair and summed) within
+    1e-12 absolute, and the gradient within 1e-10 of the log-space
+    recursion."""
+    rng = np.random.default_rng(900 + seed)
+    for _ in range(20):
+        e, mask = random_left_padded_scores(rng)
+        wt = rng.normal(size=(3, 3)) * 2.0 if bigram else np.zeros((3, 3))
+        fwd = _forward(e, wt, mask)
+        assert fwd.scale is not None
+        np.testing.assert_allclose(
+            fwd.log_z, reference_log_z_batch(e, wt, mask), rtol=1e-12, atol=1e-12
+        )
+        want_node, want_edge = reference_posteriors(e, wt, mask)
+        node, edge = _posteriors(e, wt, mask, fwd)
+        np.testing.assert_allclose(node, want_node, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(edge, want_edge, rtol=0, atol=1e-12)
+        node, total = _posteriors(e, wt, mask, fwd, summed=True)
+        np.testing.assert_allclose(node, want_node, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(total, want_edge.sum(axis=(0, 1)), rtol=0, atol=1e-12)
+    template = WORD_POS_TEMPLATE if bigram else WORD_POS_UNIGRAM
+    for _ in range(5):
+        comp = _compile_columns(template, random_ragged_batch(rng))
+        wu = rng.normal(size=(len(comp.vocab), 3))
+        wt = rng.normal(size=(3, 3)) if bigram else np.zeros((3, 3))
+        gu, gt = crf._count_gradient(comp, _unary_batch(wu, comp), wt)
+        want_gu, want_gt = reference_count_gradient(comp, wu, wt)
+        np.testing.assert_allclose(gu, want_gu, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(gt, want_gt, rtol=0, atol=1e-10)
+
+
+def assert_like_the_log_space_reference(model, data):
+    """log_partition and marginals of each sentence, and gradient and
+    regularized_objective over data, are finite and match the log-space
+    recursion."""
+    rho2 = model.rho**2
+    for sentence in data:
+        lattice = build_lattice(model, sentence)
+        e, wt = lattice.log_unary[None], lattice.log_transition
+        mask = np.ones(e.shape[:2], dtype=bool)
+        want = reference_log_z_batch(e, wt, mask)[0]
+        assert math.isfinite(want)
+        assert log_partition(lattice) == pytest.approx(want, rel=1e-12)
+        node, edge = marginals(lattice)
+        want_node, want_edge = reference_posteriors(e, wt, mask)
+        np.testing.assert_allclose(node, want_node[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(edge, want_edge[0], rtol=0, atol=1e-12)
+    comp, wu, wt = _bind(model, data)
+    gu, gt = reference_count_gradient(comp, wu, wt)
+    want = _arrays_to_weights(comp, gu - wu / rho2, gt - wt / rho2)
+    got = gradient(model, data)
+    assert all(math.isfinite(v) for v in got.values())
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=0, abs=1e-10), key
+    penalty = sum(w * w for w in model.weights.values()) / (2.0 * rho2)
+    want = reference_log_likelihood(comp, wu, wt) - penalty
+    assert math.isfinite(want)
+    assert regularized_objective(model, data) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("rho", [1e6, 10.0])
+def test_extreme_weights_on_real_tokens_take_the_log_space_pass(rho, recwarn):
+    """Token a votes O and token b B-MWE with weight 800, and O -> B-MWE costs
+    800.  Scaled, every label's product at the second token underflows to
+    zero; the pass runs in log space instead, so nothing is lost or warned."""
+    data = [(make_record(pos="a", label="O"), make_record(pos="b", label="B-MWE"))]
+    weights = {("U00:a", "O"): 800.0, ("U00:b", "B-MWE"): 800.0, ("O", "B-MWE"): -800.0}
+    model = CrfModel(LABELS3, POS_TEMPLATE, weights, rho=rho)
+    lattice = build_lattice(model, data[0])
+    e, wt = lattice.log_unary[None], lattice.log_transition
+    unary, trans = np.exp(e[0] - e[0].max(axis=1, keepdims=True)), np.exp(wt - wt.max())
+    assert not (unary[0] @ trans * unary[1]).any()  # what the scaled step would see
+    assert _forward(e, wt, np.ones((1, 2), dtype=bool)).scale is None
+    assert_like_the_log_space_reference(model, data)
+    assert not recwarn.list
+
+
+def test_an_underflow_the_scale_factors_do_not_show_takes_the_log_space_pass(
+    recwarn, monkeypatch
+):
+    """At the second token I's forward product underflows while O keeps c_t
+    normal, and the next token makes I the only way on.  A check on the
+    scale factors alone would pass this batch and lose I's path; the spread
+    of its scores sends it to log space."""
+    weights = {
+        ("U00:a", "O"): 300.0,
+        ("U00:b", "O"): 300.0, ("U00:b", "I-MWE"): -300.0,
+        ("U00:c", "B-MWE"): 300.0,
+        ("O", "O"): -300.0, ("O", "I-MWE"): 0.0, ("I-MWE", "B-MWE"): 300.0,
+        ("O", "B-MWE"): -300.0, ("B-MWE", "B-MWE"): -300.0,
+    }
+    model = CrfModel(LABELS3, POS_TEMPLATE, weights, rho=10.0)
+    data = [tuple(make_record(pos=p) for p in "abc")]
+    lattice = build_lattice(model, data[0])
+    e, wt, mask = lattice.log_unary[None], lattice.log_transition, np.ones((1, 3), dtype=bool)
+    assert _forward(e, wt, mask).scale is None
+    assert_like_the_log_space_reference(model, data)
+    assert not recwarn.list
+    monkeypatch.setattr(crf, "_SPAN", math.inf)  # scaled whatever the spread
+    forced = _forward(e, wt, mask)
+    assert (forced.scale >= np.finfo(float).tiny).all()
+    assert forced.log_z[0] < reference_log_z_batch(e, wt, mask)[0] - 200.0
+
+
+def test_unary_scores_far_apart_stay_scaled_and_exact(recwarn):
+    """Scores up to 290 apart at one position and transitions spread 300
+    keep the scaled pass, which then matches the log-space recursion."""
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        e, mask = random_left_padded_scores(rng, scale=1.0)
+        e += rng.choice([-145.0, 0.0, 145.0], size=e.shape)
+        wt = rng.uniform(-300.0, 0.0, size=(3, 3))
+        wt.flat[rng.permutation(9)[:2]] = (0.0, -300.0)
+        fwd = _forward(e, wt, mask)
+        assert fwd.scale is not None
+        np.testing.assert_allclose(
+            fwd.log_z, reference_log_z_batch(e, wt, mask), rtol=1e-12, atol=1e-12
+        )
+        want_node, want_edge = reference_posteriors(e, wt, mask)
+        node, edge = _posteriors(e, wt, mask, fwd)
+        np.testing.assert_allclose(node, want_node, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(edge, want_edge, rtol=0, atol=1e-10)
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize("n_macros", [0, 1, 7, 9, 23, 38])
