@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_int
 from .features import LABELS, TokenRecord
 from .templates import Template, expand_macros
 
@@ -54,6 +54,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise InputError(f"rho must be finite and positive, got {self.rho}")
+        check_int(self.max_iterations, "max_iterations")
         if self.max_iterations < 1:
             raise InputError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (math.isfinite(self.gradient_tolerance) and self.gradient_tolerance > 0):
@@ -151,10 +152,13 @@ def sequence_score(lattice: Lattice, indices: Sequence[int]) -> float:
     T, L = lattice.log_unary.shape
     if len(indices) != T:
         raise InputError(f"expected {T} labels, got {len(indices)}")
+    for i in indices:
+        check_int(i, "label index")
     if any(not 0 <= i < L for i in indices):
         raise InputError("label index out of range")
-    e, wt, mask = _as_batch(lattice)
-    return _path_score(e, wt, _path_index(mask, np.asarray([indices]), L))
+    path = np.asarray(indices, dtype=np.intp)
+    unary = lattice.log_unary[np.arange(T), path].sum()
+    return float(unary) + float(lattice.log_transition[path[:-1], path[1:]].sum())
 
 
 def sequence_log_prob(
@@ -190,7 +194,7 @@ def marginals(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _Compiled:
-    vocab: dict[str, int]  # feature string -> row, numbered 0..n-1 in first-seen order
+    vocab: dict[str, int]  # feature string -> row, numbered 0..n-1
     feats: np.ndarray  # (N, Tmax, M) int32 feature rows, pad positions zeroed
     gold: np.ndarray  # (N, Tmax) int32 label indices, pad positions zeroed
     mask: np.ndarray  # (N, Tmax) bool; sentences are left-padded, so all end at Tmax - 1
@@ -204,19 +208,21 @@ class _Compiled:
         return self.feats[self.mask].ravel().astype(np.intp)
 
     @functools.cached_property
-    def gold_path(self) -> tuple[np.ndarray, np.ndarray]:
-        """The gold labels as _path_index indices."""
-        return _path_index(self.mask, self.gold, len(LABELS))
-
-    @functools.cached_property
     def gold_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Empirical counts of the unary (n_feats, L) and transition (L, L)
-        weights."""
-        L = len(LABELS)
+        weights; a label pair is real when its first token is."""
+        L, valid = len(LABELS), self.mask[:, :-1]
         index = self.feats[self.mask] * L + self.gold[self.mask][:, None]
         gu = np.bincount(index.ravel(), minlength=len(self.vocab) * L)
-        gt = np.bincount(self.gold_path[1], minlength=L * L)
+        pairs = self.gold[:, :-1][valid] * L + self.gold[:, 1:][valid]
+        gt = np.bincount(pairs, minlength=L * L)
         return gu.reshape(-1, L).astype(float), gt.reshape(L, L)
+
+    def gold_score(self, wu: np.ndarray, wt: np.ndarray) -> float:
+        """The total score of the gold labels, linear in the weights: the
+        inner product of their counts and (wu, wt)."""
+        gold_u, gold_t = self.gold_counts
+        return float((gold_u * wu).sum() + (gold_t * wt).sum())
 
 
 def _frame(data: Sequence[Sequence[TokenRecord]]) -> tuple[np.ndarray, np.ndarray]:
@@ -310,26 +316,21 @@ def _feature_keys(
 
 
 def _compile_columns(template: Template, data: Sequence[Sequence[TokenRecord]]) -> _Compiled:
-    """The _compile of a training batch, built from _feature_keys: the same
-    vocab in the same order and the same arrays, with no string per token
-    and macro.  The keys are numbered in first-seen token-major order, and
-    each distinct feature is spelled once, for vocab."""
+    """Compile a training batch from _feature_keys, with no string per token
+    and macro: every position gets the feature strings _compile gives it.
+    Rows are numbered in key order over the keys some token reaches, so
+    each macro's rows form one block, in macro order; each feature is
+    spelled once, for vocab."""
     mask, gold = _frame(data)
     keys, sizes, names = _feature_keys(template, data, mask)
-    flat = keys.ravel()
-    first = np.full(len(names), flat.size, dtype=np.int32)  # each key's first flat index
-    np.minimum.at(first, flat, np.arange(flat.size, dtype=np.int32))
-    seen = np.zeros(flat.size, dtype=bool)
-    seen[first[first < flat.size]] = True
-    distinct = flat[seen]  # in first-seen order
-    table = np.empty(len(names), dtype=np.int32)
-    table[distinct] = np.arange(len(distinct))
+    used = np.zeros(len(names), dtype=bool)
+    used[keys] = True
     feats = np.zeros((*mask.shape, len(template.macros)), dtype=np.int32)
-    feats[mask] = table[keys]
+    feats[mask] = (np.cumsum(used, dtype=np.int32) - 1)[keys]
 
     prefixes = np.array([f"{macro.id}:" for macro in template.macros], dtype=object)
-    spelled = np.repeat(prefixes, sizes)[distinct] + names[distinct]
-    vocab = dict(zip(spelled.tolist(), range(len(distinct))))
+    spelled = np.repeat(prefixes, sizes)[used] + names[used]
+    vocab = dict(zip(spelled.tolist(), range(len(spelled))))
     return _Compiled(vocab, feats, gold, mask, bigram=template.include_label_bigram)
 
 
@@ -388,22 +389,6 @@ def _viterbi_batch(e: np.ndarray, wt: np.ndarray, mask: np.ndarray) -> list[list
             path.append(row[path[-1]])
         paths.append(path[::-1])
     return paths
-
-
-def _path_index(mask: np.ndarray, paths: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """The label paths (N, Tmax) as flat indices: into the unary scores
-    (N, Tmax, L) at the unmasked positions, and into the transitions
-    (prev * L + cur) for each pair whose first token is unmasked."""
-    valid = mask[:, :-1]
-    unary = np.flatnonzero(mask) * L + paths[mask]
-    return unary, paths[:, :-1][valid] * L + paths[:, 1:][valid]
-
-
-def _path_score(e: np.ndarray, wt: np.ndarray, path: tuple[np.ndarray, np.ndarray]) -> float:
-    """Total score of the label paths indexed by path (see _path_index): their
-    unary entries plus the transitions between consecutive labels."""
-    unary, pairs = path
-    return float(e.take(unary).sum()) + float(wt.take(pairs).sum())
 
 
 # The widest spread of scores the scaled forward pass takes on; see _forward.
@@ -513,15 +498,6 @@ def _posteriors(
     return node, np.where(valid[:, :, None, None], edge, 0.0)
 
 
-def _log_likelihood(
-    comp: _Compiled, e: np.ndarray, wt: np.ndarray
-) -> tuple[float, _Forward]:
-    """Conditional log-likelihood of the compiled gold labels under unary
-    scores e, and the forward pass that normalised it."""
-    fwd = _forward(e, wt, comp.mask)
-    return _path_score(e, wt, comp.gold_path) - float(fwd.log_z.sum()), fwd
-
-
 def _count_gradient(
     comp: _Compiled, e: np.ndarray, wt: np.ndarray, fwd: _Forward | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -547,16 +523,19 @@ def _fit(
     transition gradient is zero, so the transitions stay zero.
 
     Unary scores are linear in the weights, so each iteration gathers the
-    gradient's scores eg once and scores a trial step s as e + s * eg, with
-    the penalty the quadratic |w|^2 + 2s<w, g> + s^2 |g|^2; the accepted
-    step's scores and forward pass carry into the next gradient."""
+    gradient's scores eg once and scores a trial step s as e + s * eg.  The
+    gold score <gold, w> + s<gold, g> is linear in s and the penalty the
+    quadratic |w|^2 + 2s<w, g> + s^2 |g|^2, so a trial's objective is a
+    quadratic in s less sum log Z; the accepted step's scores and forward
+    pass carry into the next gradient."""
     comp = _compile_columns(template, data)
     wu = np.zeros((len(comp.vocab), len(LABELS)))
     wt = np.zeros((len(LABELS), len(LABELS)))
     rho2 = config.rho**2
 
     e = _unary_batch(wu, comp)
-    obj, fwd = _log_likelihood(comp, e, wt)  # zero weights: no penalty
+    fwd = _forward(e, wt, comp.mask)
+    obj = -float(fwd.log_z.sum())  # zero weights: no gold score, no penalty
     evaluations, iterations, reason = 1, 0, "max_iterations"
     step = 1.0
     for _ in range(config.max_iterations):
@@ -570,14 +549,16 @@ def _fit(
             reason = "tolerance"
             break
         eg = _unary_batch(gu, comp)
+        gold_w, gold_g = comp.gold_score(wu, wt), comp.gold_score(gu, gt)
         w2 = float((wu**2).sum() + (wt**2).sum())
         wg = float((wu * gu).sum() + (wt * gt).sum())
         g2 = float((gu**2).sum() + (gt**2).sum())
         s = step * 2.0
         while True:
             e_new, wt_new = e + s * eg, wt + s * gt
-            ll, fwd_new = _log_likelihood(comp, e_new, wt_new)
+            fwd_new = _forward(e_new, wt_new, comp.mask)
             evaluations += 1
+            ll = gold_w + s * gold_g - float(fwd_new.log_z.sum())
             obj_new = ll - (w2 + 2.0 * s * wg + s * s * g2) / (2.0 * rho2)
             if obj_new >= obj + 1e-4 * s * g2:  # Armijo sufficient increase
                 break
@@ -602,7 +583,8 @@ def regularized_objective(
     """Conditional log-likelihood of data minus sum(w^2)/(2*rho^2) over the
     model's stored weights."""
     comp, wu, wt = _bind(model, data)
-    ll, _ = _log_likelihood(comp, _unary_batch(wu, comp), wt)
+    log_z = _forward(_unary_batch(wu, comp), wt, comp.mask).log_z
+    ll = comp.gold_score(wu, wt) - float(log_z.sum())
     penalty = sum(w * w for w in model.weights.values()) / (2.0 * model.rho**2)
     return ll - penalty
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from numbers import Integral
+
 
 class MweTagError(Exception):
     """Base class for every error this package raises deliberately. A 1-based
@@ -22,3 +24,10 @@ class ParseError(MweTagError):
 
 class InputError(MweTagError):
     """Well-formed input that violates an operation's contract."""
+
+
+def check_int(value: object, name: str) -> None:
+    """Refuse a count or index that is not an integer (a Python or numpy
+    int; bool is not one), so 2.5 fails here and not deep in a loop."""
+    if type(value) is not int and (not isinstance(value, Integral) or isinstance(value, bool)):
+        raise InputError(f"{name} must be an integer, got {value!r}")

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .crf import TrainConfig, train_and_decode
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, check_int
 from .evaluation import score
 from .features import Sentence
 from .stemmer import content_lines
@@ -56,6 +56,11 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in (
+            "population_size", "elitism_count", "max_generations",
+            "stagnation_generations", "folds", "seed",
+        ):
+            check_int(getattr(self, name), name)
         if self.population_size < 2:
             raise InputError("population_size must be >= 2")
         if not 0.0 <= self.crossover_rate <= 1.0:

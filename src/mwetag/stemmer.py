@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator
 
-from .errors import ConfigError, InputError, ParseError
+from .errors import ConfigError, InputError, ParseError, check_int
 
 MIN_STEM = 1  # default shortest stem an affix may leave behind
 
@@ -122,6 +122,7 @@ def load_affix_lexicon(
 
 
 def check_min_stem(min_stem: int) -> None:
+    check_int(min_stem, "min_stem")
     if min_stem < 1:
         raise InputError(f"min_stem must be >= 1, got {min_stem}")
 

@@ -25,7 +25,6 @@ from mwetag.crf import (
     _forward,
     _lse,
     _messages,
-    _path_score,
     _posteriors,
     _unary_batch,
     _viterbi_batch,
@@ -589,11 +588,23 @@ def reference_posteriors(
     return node, edge
 
 
+def reference_path_score(e, wt, mask, paths):
+    """Total score of the label paths (N, Tmax): their unary entries at the
+    unmasked positions plus the transitions of each pair whose first token
+    is unmasked, summed along the paths."""
+    L = e.shape[2]
+    valid = mask[:, :-1]
+    unary = np.flatnonzero(mask) * L + paths[mask]
+    pairs = paths[:, :-1][valid] * L + paths[:, 1:][valid]
+    return float(e.take(unary).sum()) + float(wt.take(pairs).sum())
+
+
 def reference_log_likelihood(comp, wu, wt):
     """The log-likelihood as training computed it before it carried unary
-    scores: a fresh gather and a log-space forward pass per call."""
+    scores: a fresh gather, the gold path's score summed along it, and a
+    log-space forward pass per call."""
     e = _unary_batch(wu, comp)
-    ll = _path_score(e, wt, comp.gold_path)
+    ll = reference_path_score(e, wt, comp.mask, comp.gold)
     return ll - float(reference_log_z_batch(e, wt, comp.mask).sum())
 
 
@@ -680,7 +691,8 @@ def random_ragged_batch(rng, n_words=6):
 def test_fit_matches_the_reference_training_loop(seed, monkeypatch):
     """On random ragged batches, with and without a B line, the one-gather
     loop takes the same steps as the parent's loop: the same gradient count,
-    the same objective evaluations and weights within 1e-10."""
+    the same objective evaluations and weights within 1e-10.  The reference
+    compiles with _compile, so its rows are matched to _fit's by string."""
     rng = np.random.default_rng(700 + seed)
     calls = {"reference_count_gradient": 0, "reference_log_likelihood": 0}
     module = sys.modules[__name__]
@@ -700,13 +712,15 @@ def test_fit_matches_the_reference_training_loop(seed, monkeypatch):
             gradient_tolerance=float(rng.choice([1e-4, 0.05])),
         )
         calls.update(dict.fromkeys(calls, 0))
-        _, want_wu, want_wt = reference_fit(data, template, config)
+        want, want_wu, want_wt = reference_fit(data, template, config)
         with training_reports() as reports:
-            _, wu, wt = _fit(data, template, config)
+            comp, wu, wt = _fit(data, template, config)
         (report,) = reports
         gradients = report.iterations + (report.stop_reason != "max_iterations")
         assert (gradients, report.evaluations) == tuple(calls.values())
-        np.testing.assert_allclose(wu, want_wu, rtol=0, atol=1e-10)
+        assert comp.vocab.keys() == want.vocab.keys()
+        rows = [want.vocab[s] for s in comp.vocab]
+        np.testing.assert_allclose(wu, want_wu[rows], rtol=0, atol=1e-10)
         np.testing.assert_allclose(wt, want_wt, rtol=0, atol=1e-10)
 
 
@@ -880,10 +894,23 @@ def test_per_macro_gather_equals_the_fancy_index_sum(n_macros):
         assert np.array_equal(_unary_batch(wu, comp), wu[feats].sum(axis=2))
 
 
+def spelled(comp):
+    """The feature string of every macro at every real position."""
+    names = np.array(list(comp.vocab), dtype=object)
+    return names[comp.feats[comp.mask]].tolist()
+
+
 def assert_same_compile(template, data):
+    """Both compiles give every real position the same feature strings and
+    the same vocab as a set (rows may be numbered differently), and the
+    same gold, mask and bigram."""
     want, got = _compile(template, data), _compile_columns(template, data)
-    assert list(got.vocab) == list(want.vocab)
-    for name in ("feats", "gold", "mask"):
+    assert got.vocab.keys() == want.vocab.keys()
+    assert sorted(got.vocab.values()) == list(range(len(got.vocab)))
+    assert spelled(got) == spelled(want)
+    assert got.feats.dtype == want.feats.dtype and got.feats.shape == want.feats.shape
+    assert not got.feats[~got.mask].any()
+    for name in ("gold", "mask"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert got.bigram == want.bigram
@@ -921,7 +948,7 @@ EDGE_TEMPLATES = {
 
 @pytest.mark.parametrize("seed", range(4))
 def test_column_compile_equals_the_string_compile(seed):
-    """The column compile gives _compile's vocab, in order, and its arrays,
+    """The column compile gives every position _compile's feature strings,
     on random catalogue chromosomes and on boundary offsets of +-3 and past
     any sentence or int64, conjunctions over cells holding /, templates
     without unigram macros and single-token sentences."""
@@ -937,8 +964,10 @@ def test_a_cell_spelled_like_a_boundary_literal_shares_its_feature():
     template = parse_template("U0:%x[-1,0]\nU1:%x[2,0]\n")
     data = [tuple(make_record(word=w) for w in ("_B-1", "y", "_B+2"))]
     comp = _compile_columns(template, data)
-    assert list(comp.vocab) == ["U0:_B-1", "U1:_B+2", "U1:_B+1", "U0:y"]
-    assert comp.feats[0].tolist() == [[0, 1], [0, 2], [3, 1]]
+    assert spelled(comp) == [
+        ["U0:_B-1", "U1:_B+2"], ["U0:_B-1", "U1:_B+1"], ["U0:y", "U1:_B+2"]
+    ]
+    assert len(comp.vocab) == 4
     assert_same_compile(template, data)
 
 
@@ -948,8 +977,27 @@ def test_a_conjunction_is_its_joined_string():
     data = [(make_record(word="a/b", pos="c"), make_record(word="a", pos="b/c"))]
     comp = _compile_columns(template, data)
     assert list(comp.vocab) == ["U0:a/b/c"]
-    assert comp.feats[0].tolist() == [[0], [0]]
+    assert comp.feats[comp.mask].tolist() == [[0], [0]]
     assert_same_compile(template, data)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_each_macros_training_rows_form_one_block_in_macro_order(seed):
+    """The column compile numbers features in key order: macro m's rows are
+    one run of consecutive numbers, right after macro m - 1's, and each is
+    spelled with m's id."""
+    rng = np.random.default_rng(950 + seed)
+    catalogue = default_catalogue()
+    templates = [chromosome_to_template(rng.integers(0, 2, 38), catalogue) for _ in range(6)]
+    for template in (*templates, *EDGE_TEMPLATES.values()):
+        comp = _compile_columns(template, edge_batch(rng))
+        names, start = list(comp.vocab), 0
+        for m, macro in enumerate(template.macros):
+            rows = np.unique(comp.feats[comp.mask][:, m])
+            assert rows.tolist() == list(range(start, start + len(rows))), macro.id
+            assert all(names[r].startswith(f"{macro.id}:") for r in rows)
+            start += len(rows)
+        assert start == len(names)
 
 
 @pytest.mark.parametrize("compile_", [_compile, _compile_columns])
@@ -1078,3 +1126,24 @@ def test_train_config_validation():
             TrainConfig(rho=bad)
         with pytest.raises(InputError):
             TrainConfig(gradient_tolerance=bad)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TrainConfig(max_iterations=1.5),
+        lambda: TrainConfig(max_iterations=True),
+        lambda: sequence_score(Lattice(np.zeros((2, 3)), np.zeros((3, 3))), [0.5, 1]),
+        lambda: sequence_score(Lattice(np.zeros((2, 3)), np.zeros((3, 3))), [0, "1"]),
+    ],
+    ids=["max_iterations-1.5", "max_iterations-True", "index-0.5", "index-str"],
+)
+def test_a_count_or_index_that_is_not_an_integer_is_refused(build):
+    with pytest.raises(InputError, match="must be an integer, got"):
+        build()
+
+
+def test_numpy_integers_are_integers():
+    assert TrainConfig(max_iterations=np.int64(3)).max_iterations == 3
+    lattice = Lattice(np.arange(6.0).reshape(2, 3), np.zeros((3, 3)))
+    assert sequence_score(lattice, np.array([2, 1])) == 6.0

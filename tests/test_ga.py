@@ -285,6 +285,21 @@ def test_ga_config_validation():
         GaConfig(folds=1)  # every training partition would be empty
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        "population_size", "elitism_count", "max_generations",
+        "stagnation_generations", "folds", "seed",
+    ],
+)
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+def test_ga_config_refuses_a_count_that_is_not_an_integer(field, value):
+    """2.5 would run as a population of 3 or fail inside the seed's RNG;
+    3.0 and True are refused alike, as the CLI only ever passes ints."""
+    with pytest.raises(InputError, match=f"^{field} must be an integer, got {value!r}$"):
+        GaConfig(**{field: value})
+
+
 def small_catalogue():
     return GeneCatalogue(genes=default_catalogue().genes[33:38])  # the five POS windows
 

@@ -149,6 +149,13 @@ def test_bad_min_stem_rejected(tiny_lexicon):
         stem("word", tiny_lexicon, min_stem=0)
 
 
+@pytest.mark.parametrize("min_stem", [1.5, float("nan"), True])
+def test_min_stem_that_is_not_an_integer_is_rejected(tiny_lexicon, min_stem):
+    """1.5 stripped as if it were 2, and nan stripped nothing."""
+    with pytest.raises(InputError, match="^min_stem must be an integer"):
+        stem("word", tiny_lexicon, min_stem=min_stem)
+
+
 def test_decomposed_input_matches_precomposed():
     lexicon = AffixLexicon(prefixes=("q",), suffixes=("é",))
     composed = stem("café", lexicon)
