@@ -224,6 +224,15 @@ class _Compiled:
         gold_u, gold_t = self.gold_counts
         return float((gold_u * wu).sum() + (gold_t * wt).sum())
 
+    def sentences(self, rows: np.ndarray) -> _Compiled:
+        """The sentences a boolean mask picks, sharing vocab and the feature
+        rows, cut to the longest one picked: a fold compiled with the rest."""
+        mask = self.mask[rows]
+        if not len(mask):
+            raise InputError("expected at least one sentence, got none")
+        at = np.s_[rows, mask.shape[1] - mask.sum(axis=1).max() :]  # drop shared padding
+        return _Compiled(self.vocab, self.feats[at], self.gold[at], self.mask[at], self.bigram)
+
 
 def _frame(data: Sequence[Sequence[TokenRecord]]) -> tuple[np.ndarray, np.ndarray]:
     """Check a batch and compile what every compile shares: the mask of its
@@ -515,12 +524,10 @@ def _count_gradient(
     return gu, gt
 
 
-def _fit(
-    data: Sequence[Sequence[TokenRecord]], template: Template, config: TrainConfig
-) -> tuple[_Compiled, np.ndarray, np.ndarray]:
-    """Compile labeled data and fit its weights by gradient ascent with a
-    backtracking line search from zero init.  Without a B line the
-    transition gradient is zero, so the transitions stay zero.
+def _fit(comp: _Compiled, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Fit a batch's weights by gradient ascent with a backtracking line
+    search from zero init.  The transitions without a B line, and the row
+    of a feature the batch never reaches, get zero gradient and stay zero.
 
     Unary scores are linear in the weights, so each iteration gathers the
     gradient's scores eg once and scores a trial step s as e + s * eg.  The
@@ -528,7 +535,6 @@ def _fit(
     quadratic |w|^2 + 2s<w, g> + s^2 |g|^2, so a trial's objective is a
     quadratic in s less sum log Z; the accepted step's scores and forward
     pass carry into the next gradient."""
-    comp = _compile_columns(template, data)
     wu = np.zeros((len(comp.vocab), len(LABELS)))
     wt = np.zeros((len(LABELS), len(LABELS)))
     rho2 = config.rho**2
@@ -574,7 +580,7 @@ def _fit(
     report = TrainReport(iterations, reason, obj, grad_norm, evaluations)
     for sink in _report_sinks:
         sink.append(report)
-    return comp, wu, wt
+    return wu, wt
 
 
 def regularized_objective(
@@ -627,21 +633,25 @@ def train(
     """Fit weights on labeled sentences.  Deterministic: zero initialization
     and a fixed line-search policy, no randomness anywhere."""
     config = config or TrainConfig()
-    weights = _arrays_to_weights(*_fit(data, template, config))
+    comp = _compile_columns(template, data)
+    weights = _arrays_to_weights(comp, *_fit(comp, config))
     return CrfModel(label_set=LabelSet(), template=template, weights=weights, rho=config.rho)
 
 
 def train_and_decode(
-    train_sentences: Sequence[Sequence[TokenRecord]],
-    test_sentences: Sequence[Sequence[TokenRecord]],
+    folds: Sequence[Sequence[Sequence[TokenRecord]]],
     template: Template,
     config: TrainConfig | None = None,
-) -> list[list[str]]:
-    """Train on one partition and decode another without materializing the
-    weight map: the held-out rows are gathered from the trained ones, and
-    feature strings unseen in training take the zero row appended to them."""
-    comp, wu, wt = _fit(train_sentences, template, config or TrainConfig())
-    test = _compile_columns(template, test_sentences)
-    rows = [comp.vocab.get(s, len(wu)) for s in test.vocab]
-    e = _unary_batch(np.vstack([wu, np.zeros((1, len(LABELS)))])[rows], test)
-    return [[LABELS[i] for i in path] for path in _viterbi_batch(e, wt, test.mask)]
+) -> list[list[list[str]]]:
+    """Each fold's labels, decoded after fitting on the other folds in fold
+    order.  Folds are sentence views of one compile, so the fitted rows score
+    a fold as they are, and a feature only that fold reaches scores zero."""
+    comp = _compile_columns(template, [s for fold in folds for s in fold])
+    fold_of = np.repeat(np.arange(len(folds)), [len(fold) for fold in folds])
+    decoded = []
+    for k in range(len(folds)):
+        fit_on, test = comp.sentences(fold_of != k), comp.sentences(fold_of == k)
+        wu, wt = _fit(fit_on, config or TrainConfig())
+        paths = _viterbi_batch(_unary_batch(wu, test), wt, test.mask)
+        decoded.append([[LABELS[i] for i in path] for path in paths])
+    return decoded

@@ -97,6 +97,8 @@ def split_folds(
     """Deterministic k-way split balanced by token count: seeded shuffle,
     then longest sentence first into the currently lightest fold."""
     sentences = list(corpus)
+    check_int(k, "fold count")
+    check_int(seed, "seed")
     if k < 1:
         raise InputError(f"fold count must be >= 1, got {k}")
     if len(sentences) < k:
@@ -127,12 +129,10 @@ def evaluate_fitness(
         return 0.0
     if sum(len(f) for f in folds) != len(corpus):
         raise InputError("folds must partition the corpus")
-    fold_scores = []
-    for held_out_index, held_out in enumerate(folds):
-        training = [s for j, f in enumerate(folds) if j != held_out_index for s in f]
-        predicted = train_and_decode(training, held_out, template, train_config)
-        gold = [[record.label for record in sentence] for sentence in held_out]
-        fold_scores.append(score(gold, predicted, mode="span").f_measure)
+    fold_scores = [
+        score([[record.label for record in s] for s in fold], predicted, mode="span").f_measure
+        for fold, predicted in zip(folds, train_and_decode(folds, template, train_config))
+    ]
     return float(sum(fold_scores) / len(fold_scores))
 
 

@@ -6,10 +6,11 @@ Run from the repository root:
 
 It encodes tests/data/synthetic_raw.txt with its test affix lists, trains
 with the template T = U00:%x[0,0] ... U03:%x[0,3] plus B and with T alone,
-tags the encoded file with each model, and runs ga-search --generations 2,
-all with default settings, in a temporary directory.  Each output's first
-12 hex digits of sha256 are printed to stdout, one per line; train's stop
-report goes to stderr as the CLI prints it.  Output is deterministic, so a
+tags the encoded file with each model, and runs ga-search --generations 2
+and ga-search --folds 2 --generations 1, all with default settings
+otherwise, in a temporary directory.  Each output's first 12 hex digits of
+sha256 are printed to stdout, one per line; train's stop report goes to
+stderr as the CLI prints it.  Output is deterministic, so a
 change that claims byte-identical outputs must leave every line unchanged.
 """
 
@@ -53,10 +54,14 @@ def main() -> None:
             run("tag", enc, "--model", str(model), "--out", str(tagged))
             outputs[f"train model {name}"] = str(model)
             outputs[f"tag {name}"] = str(tagged)
-        template, history = str(out / "ga.tpl"), str(out / "ga.csv")
-        run("ga-search", enc, "--out", template, "--history", history, "--generations", "2")
-        outputs["ga-search template"] = template
-        outputs["ga-search history"] = history
+        for name, options in (
+            ("", ("--generations", "2")),
+            (" --folds 2", ("--folds", "2", "--generations", "1")),
+        ):
+            template, history = str(out / f"ga{name}.tpl"), str(out / f"ga{name}.csv")
+            run("ga-search", enc, "--out", template, "--history", history, *options)
+            outputs[f"ga-search{name} template"] = template
+            outputs[f"ga-search{name} history"] = history
         for name, path in outputs.items():
             print(f"{hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]}  {name}")
 

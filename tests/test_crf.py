@@ -527,7 +527,7 @@ def test_one_gather_per_iteration_and_no_forward_pass_rerun(monkeypatch):
     monkeypatch.setattr(crf, "_forward", counted_forward)
     data = make_separable_sentences(12, seed=9)
     with training_reports() as reports:
-        _fit(data, WORD_POS_TEMPLATE, TrainConfig(rho=10.0, max_iterations=40))
+        _fit(_compile_columns(WORD_POS_TEMPLATE, data), TrainConfig(rho=10.0, max_iterations=40))
     (report,) = reports
     assert report.iterations == 40
     assert calls["gather"] <= report.iterations + 1
@@ -713,8 +713,9 @@ def test_fit_matches_the_reference_training_loop(seed, monkeypatch):
         )
         calls.update(dict.fromkeys(calls, 0))
         want, want_wu, want_wt = reference_fit(data, template, config)
+        comp = _compile_columns(template, data)
         with training_reports() as reports:
-            comp, wu, wt = _fit(data, template, config)
+            wu, wt = _fit(comp, config)
         (report,) = reports
         gradients = report.iterations + (report.stop_reason != "max_iterations")
         assert (gradients, report.evaluations) == tuple(calls.values())
@@ -1000,6 +1001,42 @@ def test_each_macros_training_rows_form_one_block_in_macro_order(seed):
         assert start == len(names)
 
 
+def assert_view_is_the_compile_of_its_sentences(template, data, rng):
+    """A view that drops the longest sentence of data has the feature
+    strings, mask, gold and gold counts of compiling its sentences alone."""
+    data = [*data, max(data, key=len) + data[0]]  # the longest, dropped below
+    rows = rng.random(len(data)) < 0.6
+    rows[-1], rows[int(rng.integers(0, len(data) - 1))] = False, True
+    comp = _compile_columns(template, data)
+    view = comp.sentences(rows)
+    alone = _compile_columns(template, [s for s, keep in zip(data, rows) if keep])
+    assert view.vocab is comp.vocab and view.bigram == alone.bigram
+    assert spelled(view) == spelled(alone)
+    assert view.feats.shape == alone.feats.shape and not view.feats[~view.mask].any()
+    for name in ("gold", "mask"):
+        assert np.array_equal(getattr(view, name), getattr(alone, name)), name
+    (view_u, view_t), (alone_u, alone_t) = view.gold_counts, alone.gold_counts
+    at = [comp.vocab[s] for s in alone.vocab]
+    assert np.array_equal(view_u[at], alone_u) and view_u.sum() == alone_u.sum()
+    assert np.array_equal(view_t, alone_t)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_sentence_view_is_the_compile_of_its_sentences(seed):
+    """sentences() cuts a view to its longest sentence, not the batch's, and
+    keeps the batch's numbering; an empty pick is refused like an empty batch."""
+    rng = np.random.default_rng(970 + seed)
+    catalogue = default_catalogue()
+    chromosomes = [chromosome_to_template(rng.integers(0, 2, 38), catalogue) for _ in range(4)]
+    for template in (WORD_POS_TEMPLATE, WORD_POS_UNIGRAM):
+        assert_view_is_the_compile_of_its_sentences(template, random_ragged_batch(rng), rng)
+    for template in (*chromosomes, *EDGE_TEMPLATES.values()):
+        assert_view_is_the_compile_of_its_sentences(template, edge_batch(rng), rng)
+    comp = _compile_columns(WORD_POS_TEMPLATE, random_ragged_batch(rng))
+    with pytest.raises(InputError, match="^expected at least one sentence, got none$"):
+        comp.sentences(np.zeros(len(comp.mask), dtype=bool))
+
+
 @pytest.mark.parametrize("compile_", [_compile, _compile_columns])
 @pytest.mark.parametrize("template", [POS_TEMPLATE, EDGE_TEMPLATES["B-only"]], ids=["U", "B-only"])
 def test_both_compiles_refuse_a_batch_alike(compile_, template):
@@ -1011,22 +1048,28 @@ def test_both_compiles_refuse_a_batch_alike(compile_, template):
 
 
 def test_training_expands_no_strings_and_tagging_one_per_token(monkeypatch):
-    """Training compiles column by column; binding a stored model still
-    spells every position's feature strings, once per token."""
-    calls = []
+    """Training compiles column by column, and cross-validation compiles
+    every fold at once; binding a stored model still spells every position's
+    feature strings, once per token."""
+    calls, compiles = [], []
 
     def counted(template, rows, t):
         calls.append(t)
         return expand(template, rows, t)
 
-    expand = crf.expand_macros
+    def counted_compile(template, data):
+        compiles.append(len(data))
+        return compile_columns(template, data)
+
+    expand, compile_columns = crf.expand_macros, crf._compile_columns
     monkeypatch.setattr(crf, "expand_macros", counted)
+    monkeypatch.setattr(crf, "_compile_columns", counted_compile)
     train_data = make_separable_sentences(6, seed=2)
     test_data = make_separable_sentences(3, seed=13)
     config = TrainConfig(max_iterations=3)
     model = train(train_data, WORD_WINDOW_TEMPLATE, config)
-    train_and_decode(train_data, test_data, WORD_WINDOW_TEMPLATE, config)
-    assert calls == []
+    train_and_decode([train_data[:3], train_data[3:], test_data], WORD_WINDOW_TEMPLATE, config)
+    assert calls == [] and compiles == [6, 9]
     for sentence in test_data:
         viterbi_decode(model, sentence)
     assert len(calls) == sum(len(s) for s in test_data)
@@ -1046,27 +1089,33 @@ def test_train_without_bigram_stores_no_label_pairs():
     assert not [key for key in model.weights if key[0] in LABELS]
 
 
-def test_train_and_decode_matches_separate_calls():
-    train_data = make_separable_sentences(10, seed=2)
-    test_data = make_separable_sentences(4, seed=13)
+@pytest.mark.parametrize("k", [2, 3])
+def test_train_and_decode_matches_separate_calls(k):
+    """Each fold decodes as viterbi_decode does under train() on the other
+    folds, in fold order.  The word window gives a fold feature strings the
+    other folds never reach; the bare B line is a transition-only CRF."""
+    data = [*make_separable_sentences(10, seed=2), *make_separable_sentences(4, seed=13)]
+    folds = [data[i::k] for i in range(k)]
     config = TrainConfig(rho=10.0, max_iterations=40)
-    # the word window gives the held-out fold feature strings unseen in training;
-    # the bare B line is a transition-only CRF
     templates = (POS_TEMPLATE, POS_UNIGRAM_TEMPLATE, WORD_WINDOW_TEMPLATE, parse_template("B\n"))
     for template in templates:
-        fused = train_and_decode(train_data, test_data, template, config=config)
-        model = train(train_data, template, config=config)
-        split = [viterbi_decode(model, s) for s in test_data]
-        assert fused == split
+        fused = train_and_decode(folds, template, config=config)
+        assert len(fused) == k
+        for held, fold in enumerate(folds):
+            others = [s for j, other in enumerate(folds) if j != held for s in other]
+            model = train(others, template, config=config)
+            assert fused[held] == [viterbi_decode(model, s) for s in fold]
 
 
 def test_train_and_decode_handles_unseen_features():
-    train_data = make_separable_sentences(6, seed=3)
+    """A fold of one novel word reaches no feature the other fold does."""
+    data = make_separable_sentences(6, seed=3)
     novel = (make_record(word="unseenword", pos="ZZ"),)
     config = TrainConfig(max_iterations=5)
-    predictions = train_and_decode(train_data, [novel], POS_TEMPLATE, config=config)
-    model = train(train_data, POS_TEMPLATE, config=config)
-    assert predictions == [viterbi_decode(model, novel)]
+    predictions = train_and_decode([data, [novel]], POS_TEMPLATE, config=config)
+    assert predictions[1] == [viterbi_decode(train(data, POS_TEMPLATE, config), novel)]
+    model = train([novel], POS_TEMPLATE, config=config)
+    assert predictions[0] == [viterbi_decode(model, s) for s in data]
 
 
 def test_empty_sentence_is_refused():
@@ -1081,8 +1130,9 @@ def test_empty_batch_and_sentence_messages_count_from_one():
     config = TrainConfig(max_iterations=2)
     with pytest.raises(InputError, match="sentence 2 is empty"):
         train([data[0], (), data[1]], POS_TEMPLATE, config)
-    with pytest.raises(InputError, match="expected at least one sentence, got none"):
-        train_and_decode(data, [], POS_TEMPLATE, config)
+    for folds in ([], [data, []], [data]):  # no folds, an empty fold, nothing to train on
+        with pytest.raises(InputError, match="^expected at least one sentence, got none$"):
+            train_and_decode(folds, POS_TEMPLATE, config)
 
 
 def test_big_catalogue_template_trains():

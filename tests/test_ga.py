@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mwetag import crf
 from mwetag.crf import TrainConfig, train, viterbi_decode
 from mwetag.errors import InputError, ParseError
 from mwetag.evaluation import score
@@ -90,6 +91,19 @@ def test_split_folds_rejects_bad_k():
         split_folds(data, 3, seed=0)
 
 
+@pytest.mark.parametrize(
+    "k, seed, message",
+    [
+        (2.0, 0, "fold count must be an integer, got 2.0"),
+        (True, 0, "fold count must be an integer, got True"),
+        (2, 1.5, "seed must be an integer, got 1.5"),
+    ],
+)
+def test_split_folds_refuses_a_count_or_seed_that_is_not_an_integer(k, seed, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        split_folds(dummy_sentences([2, 2, 3]), k, seed)
+
+
 CATALOGUE = default_catalogue()
 POS_ONLY_BITS = tuple(int(i == 35) for i in range(38))
 
@@ -113,6 +127,21 @@ def test_evaluate_fitness_matches_manual_cross_validation():
         predicted = [viterbi_decode(model, s) for s in parts[held]]
         values.append(score(gold, predicted, mode="span").f_measure)
     assert got == pytest.approx(sum(values) / 3, abs=1e-12)
+
+
+def test_evaluate_fitness_compiles_the_corpus_once(monkeypatch):
+    """Every fold of a fitness evaluation is a view of one compile."""
+    compiles = []
+
+    def counted(template, data):
+        compiles.append(len(data))
+        return compile_columns(template, data)
+
+    compile_columns = crf._compile_columns
+    monkeypatch.setattr(crf, "_compile_columns", counted)
+    data = make_separable_sentences(9, seed=2)
+    evaluate_fitness(POS_ONLY_BITS, data, CATALOGUE, split_folds(data, 3, seed=5), FAST)
+    assert compiles == [9]
 
 
 def test_evaluate_fitness_separable_data_reaches_100():
