@@ -1089,22 +1089,23 @@ def test_train_without_bigram_stores_no_label_pairs():
     assert not [key for key in model.weights if key[0] in LABELS]
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_train_and_decode_matches_separate_calls(k):
-    """Each fold decodes as viterbi_decode does under train() on the other
-    folds, in fold order.  The word window gives a fold feature strings the
-    other folds never reach; the bare B line is a transition-only CRF."""
+def test_train_and_decode_matches_separate_calls():
+    """For 2 and 3 folds, each fold decodes as viterbi_decode does under
+    train() on the other folds, in fold order.  The word window gives a fold
+    feature strings the other folds never reach; the bare B line is a
+    transition-only CRF."""
     data = [*make_separable_sentences(10, seed=2), *make_separable_sentences(4, seed=13)]
-    folds = [data[i::k] for i in range(k)]
     config = TrainConfig(rho=10.0, max_iterations=40)
     templates = (POS_TEMPLATE, POS_UNIGRAM_TEMPLATE, WORD_WINDOW_TEMPLATE, parse_template("B\n"))
-    for template in templates:
-        fused = train_and_decode(folds, template, config=config)
-        assert len(fused) == k
-        for held, fold in enumerate(folds):
-            others = [s for j, other in enumerate(folds) if j != held for s in other]
-            model = train(others, template, config=config)
-            assert fused[held] == [viterbi_decode(model, s) for s in fold]
+    for k in (2, 3):
+        folds = [data[i::k] for i in range(k)]
+        for template in templates:
+            fused = train_and_decode(folds, template, config=config)
+            assert len(fused) == k
+            for held, fold in enumerate(folds):
+                others = [s for j, other in enumerate(folds) if j != held for s in other]
+                model = train(others, template, config=config)
+                assert fused[held] == [viterbi_decode(model, s) for s in fold]
 
 
 def test_train_and_decode_handles_unseen_features():
