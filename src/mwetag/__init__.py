@@ -16,6 +16,7 @@ from .crf import (
     TrainConfig,
     TrainReport,
     build_lattice,
+    decode_sentences,
     gradient,
     log_partition,
     regularized_objective,

@@ -24,7 +24,9 @@ from .corpus import (
     save_model,
     write_column_file,
 )
-from .crf import TrainConfig, train, training_reports, viterbi_decode
+# viterbi_decode stays bound here although no command calls it: the
+# benchmark's tracer (perfbench/tracing.py) wraps mwetag.cli.viterbi_decode.
+from .crf import TrainConfig, decode_sentences, train, training_reports, viterbi_decode
 from .errors import ConfigError, InputError, MweTagError
 from .evaluation import DEFAULT_MODE, MODES, render_csv, render_text, score
 from .features import TokenRecord, encode_corpus, load_gazetteer
@@ -220,15 +222,13 @@ def _cmd_tag(args: argparse.Namespace, config: RunConfig) -> int:
     _require(config, "model", "out")
     model = load_model(config.model)
     corpus = read_column_file(args.data, expect_labels=False)
-    tagged = []
-    for sentence in corpus:
-        labels = viterbi_decode(model, sentence)
-        tagged.append(
-            tuple(
-                TokenRecord(columns=record.columns, label=label)
-                for record, label in zip(sentence, labels)
-            )
+    tagged = [
+        tuple(
+            TokenRecord(columns=record.columns, label=label)
+            for record, label in zip(sentence, labels)
         )
+        for sentence, labels in zip(corpus, decode_sentences(model, corpus.sentences))
+    ]
     write_column_file(Corpus(sentences=tuple(tagged)), config.out)
     print(f"tagged {len(corpus)} sentences -> {config.out}")
     return 0

@@ -181,6 +181,37 @@ def viterbi_decode(model: CrfModel, rows: Sequence[TokenRecord]) -> list[str]:
     return [LABELS[i] for i in indices]
 
 
+# The most cells, sentences times the longest length, one decode_sentences
+# batch pads out to; a longer sentence is decoded on its own.
+_TAG_CELLS = 1 << 14
+
+
+def decode_sentences(
+    model: CrfModel, sentences: Sequence[Sequence[TokenRecord]]
+) -> list[list[str]]:
+    """Each sentence's viterbi_decode labels, in input order.  Sentences are
+    stably sorted by length and cut into consecutive runs within _TAG_CELLS,
+    each bound and decoded as one batch.  Weight rows are looked up by
+    feature string and Viterbi reduces nothing across sentences, so a
+    sentence's labels do not depend on its run."""
+    lengths = [len(rows) for rows in sentences]
+    if 0 in lengths:
+        raise InputError(f"sentence {lengths.index(0) + 1} is empty")
+    order = sorted(range(len(sentences)), key=lengths.__getitem__)
+    labels: list[list[str]] = [[] for _ in sentences]
+    start = 0
+    while start < len(order):
+        stop = start + 1  # sorted, so each run's longest sentence is its last
+        while stop < len(order) and (stop + 1 - start) * lengths[order[stop]] <= _TAG_CELLS:
+            stop += 1
+        run = order[start:stop]
+        comp, wu, wt = _bind(model, [sentences[i] for i in run])
+        for i, path in zip(run, _viterbi_batch(_unary_batch(wu, comp), wt, comp.mask)):
+            labels[i] = [LABELS[j] for j in path]
+        start = stop
+    return labels
+
+
 def marginals(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
     """Posterior node marginals (T, L) and edge marginals (T-1, L, L)."""
     node, edge = _posteriors(*_as_batch(lattice))

@@ -10,6 +10,7 @@ reproducible bit for bit no matter how fitness evaluations are scheduled.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -115,6 +116,16 @@ def split_folds(
     return [[sentences[i] for i in sorted(fold)] for fold in assigned]
 
 
+def _partitions(folds: Sequence[Sequence[Sentence]], corpus: Sequence[Sentence]) -> bool:
+    """Whether the folds hold each sentence of the corpus as often as it does.
+    Folds that split_folds cut hold the corpus's own objects, which settles
+    it without hashing a token."""
+    pooled = [s for fold in folds for s in fold]
+    if Counter(map(id, pooled)) == Counter(map(id, corpus)):
+        return True
+    return Counter(map(tuple, pooled)) == Counter(map(tuple, corpus))
+
+
 def evaluate_fitness(
     bits: Sequence[int],
     corpus: Sequence[Sentence],
@@ -127,7 +138,7 @@ def evaluate_fitness(
     template = chromosome_to_template(bits, catalogue)  # checks the length
     if not any(bits):
         return 0.0
-    if sum(len(f) for f in folds) != len(corpus):
+    if not _partitions(folds, corpus):
         raise InputError("folds must partition the corpus")
     fold_scores = [
         score([[record.label for record in s] for s in fold], predicted, mode="span").f_measure

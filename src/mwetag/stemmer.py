@@ -1,18 +1,20 @@
 """Affix inventories and the iterative affix-stripping stemmer.
 
 A word is stemmed by one prefix pass followed by one suffix pass.  Each pass
-walks the affix list top to bottom, removes the first affix that matches the
-current stem's edge, and restarts the scan from the top of the list; the pass
-ends when a full scan removes nothing.  Suffixes are cut by length from the
-right edge, never by searching for the first occurrence inside the word.
+removes the affix that a top-to-bottom walk of the affix list would find
+first at the current stem's edge, then rescans from the top of the list; the
+pass ends when a full scan removes nothing.  A scan looks up the edge of each
+affix length once instead of walking the list.  Suffixes are cut by length
+from the right edge, never by searching for the first occurrence inside the
+word.
 """
 
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterator, NamedTuple
 
 from .errors import ConfigError, InputError, ParseError, check_int
 
@@ -29,14 +31,29 @@ class AffixLexicon:
 
     prefixes: tuple[str, ...]
     suffixes: tuple[str, ...]
+    # Each list's _Edges, (prefixes, suffixes), built once with the lexicon.
+    _edges: tuple[_Edges, _Edges] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        edges = []
         for name, entries in (("prefix", self.prefixes), ("suffix", self.suffixes)):
             normalized = tuple(check_entry(e, name) for e in entries)
             if len(set(normalized)) != len(normalized):
                 dupes = sorted({e for e in normalized if normalized.count(e) > 1})
                 raise ConfigError(f"duplicate {name} entries: {', '.join(dupes)}")
             object.__setattr__(self, name + "es", normalized)
+            edges.append(_Edges(
+                {a: i for i, a in enumerate(normalized)}, sorted({len(a) for a in normalized})
+            ))
+        object.__setattr__(self, "_edges", tuple(edges))
+
+
+class _Edges(NamedTuple):
+    """An affix list as _strip reads it: each affix's list index, and the
+    distinct affix lengths, shortest first."""
+
+    rank: dict[str, int]
+    lengths: list[int]
 
 
 @dataclass(frozen=True)
@@ -128,21 +145,27 @@ def check_min_stem(min_stem: int) -> None:
 
 
 def _strip(
-    stem: str, affixes: tuple[str, ...], min_stem: int, leading: bool
+    stem: str, edges: _Edges, min_stem: int, leading: bool
 ) -> tuple[str, tuple[str, ...]]:
-    """One pass over one edge of a normalized word: (stem, removed in removal order)."""
-    at_edge = str.startswith if leading else str.endswith
+    """One pass over one edge of a normalized word: (stem, removed in removal order).
+    Each scan looks up the stem's edge at every affix length that leaves
+    min_stem characters and removes the match with the lowest list index:
+    the affix a walk down the list would find first."""
     removed: list[str] = []
-    i = 0
-    while i < len(affixes):
-        a = affixes[i]
-        if at_edge(stem, a) and len(stem) - len(a) >= min_stem:
-            removed.append(a)
-            stem = stem[len(a):] if leading else stem[: len(stem) - len(a)]
-            i = 0  # restart the scan after every removal
-        else:
-            i += 1
-    return stem, tuple(removed)
+    while True:
+        found = None  # (list index, affix) of the best match so far
+        for k in edges.lengths:
+            if len(stem) - k < min_stem:
+                break
+            edge = stem[:k] if leading else stem[len(stem) - k :]
+            i = edges.rank.get(edge)
+            if i is not None and (found is None or i < found[0]):
+                found = i, edge
+        if found is None:
+            return stem, tuple(removed)
+        a = found[1]
+        removed.append(a)
+        stem = stem[len(a) :] if leading else stem[: len(stem) - len(a)]
 
 
 def stem(word: str, lexicon: AffixLexicon, min_stem: int = MIN_STEM) -> StemResult:
@@ -151,8 +174,9 @@ def stem(word: str, lexicon: AffixLexicon, min_stem: int = MIN_STEM) -> StemResu
         raise InputError("word must be non-empty")
     check_min_stem(min_stem)
     normalized = _nfc(word)
-    after_prefixes, prefixes = _strip(normalized, lexicon.prefixes, min_stem, leading=True)
-    final, suffixes = _strip(after_prefixes, lexicon.suffixes, min_stem, leading=False)
+    prefix_edges, suffix_edges = lexicon._edges
+    after_prefixes, prefixes = _strip(normalized, prefix_edges, min_stem, leading=True)
+    final, suffixes = _strip(after_prefixes, suffix_edges, min_stem, leading=False)
     return StemResult(
         original=normalized,
         stem=final,

@@ -171,6 +171,13 @@ def test_tag_accepts_unlabeled_input(tmp_path, trained_model, encoded_corpus):
     assert read_column_file(out).token_count == 525
 
 
+def test_tag_of_an_empty_column_file_writes_an_empty_file(tmp_path, trained_model):
+    empty, out = tmp_path / "empty.txt", tmp_path / "tagged.txt"
+    empty.write_text("", encoding="utf-8")
+    assert dispatch(["tag", str(empty), "--model", str(trained_model), "--out", str(out)]) == 0
+    assert out.read_bytes() == b""
+
+
 def test_eval_token_mode(tmp_path, trained_model, encoded_corpus, capsys):
     tagged = tmp_path / "tagged.txt"
     dispatch(["tag", str(encoded_corpus), "--model", str(trained_model), "--out", str(tagged)])

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from mwetag.crf import (
     _viterbi_batch,
     build_lattice,
     decode_lattice,
+    decode_sentences,
     gradient,
     log_partition,
     marginals,
@@ -43,7 +45,7 @@ from mwetag.crf import (
 )
 from mwetag.errors import InputError
 from mwetag.evaluation import score
-from mwetag.features import LABELS
+from mwetag.features import LABELS, TokenRecord
 from mwetag.templates import chromosome_to_template, default_catalogue, parse_template
 from tests.conftest import make_record, make_separable_sentences
 
@@ -193,6 +195,99 @@ def test_zero_weight_model_decodes_outside():
     model = CrfModel(label_set=LABELS3, template=POS_TEMPLATE, weights={})
     sentence = tuple(make_record(word=f"w{i}") for i in range(4))
     assert viterbi_decode(model, sentence) == ["O", "O", "O", "O"]
+
+
+def random_batch_model(rng, sentences, template):
+    """Random weights on about four in five of the batch's feature strings,
+    and on every label pair when the template has a B line."""
+    from mwetag.templates import expand_macros
+
+    weights = {}
+    for rows in sentences:
+        for t in range(len(rows)):
+            for s in expand_macros(template, rows, t):
+                if rng.random() < 0.8:
+                    weights.update({(s, lab): rng.uniform(-2.0, 2.0) for lab in LABELS})
+    if template.include_label_bigram:
+        weights.update({(a, b): rng.uniform(-2.0, 2.0) for a in LABELS for b in LABELS})
+    return CrfModel(label_set=LABELS3, template=template, weights=weights)
+
+
+def random_tagging_batch(rng, lengths):
+    """Sentences of the given lengths; every other one unlabeled, as tag reads them."""
+    batch = []
+    for n, length in enumerate(lengths):
+        rows = tuple(
+            make_record(
+                word=f"w{rng.integers(0, 8)}",
+                pos=f"p{rng.integers(0, 3)}",
+                label=LABELS[rng.integers(0, 3)],
+            )
+            for _ in range(length)
+        )
+        batch.append(rows if n % 2 else tuple(TokenRecord(columns=r.columns) for r in rows))
+    return batch
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("template", [WORD_POS_TEMPLATE, WORD_POS_UNIGRAM], ids=["B", "no-B"])
+def test_decode_sentences_equals_decoding_each_sentence(seed, template, monkeypatch):
+    """Ragged batches decode in input order to each sentence's own Viterbi
+    labels, under a budget small enough that runs split at it and one
+    sentence is longer than it; every run holds one sentence or fits."""
+    rng = np.random.default_rng(500 + seed)
+    monkeypatch.setattr(crf, "_TAG_CELLS", 12)
+    lengths = [int(n) for n in rng.integers(1, 8, size=int(rng.integers(2, 12)))]
+    lengths.insert(int(rng.integers(0, len(lengths))), 15)  # over the budget
+    sentences = random_tagging_batch(rng, lengths)
+    model = random_batch_model(rng, sentences, template)
+    runs = []
+    bind = crf._bind
+
+    def recording_bind(model, data):
+        runs.append([len(rows) for rows in data])
+        return bind(model, data)
+
+    monkeypatch.setattr(crf, "_bind", recording_bind)
+    got = decode_sentences(model, sentences)
+    monkeypatch.setattr(crf, "_bind", bind)
+    assert got == [viterbi_decode(model, rows) for rows in sentences]
+    assert sorted(n for run in runs for n in run) == sorted(lengths)
+    assert [15] in runs and len(runs) > 2
+    assert all(len(run) == 1 or len(run) * max(run) <= 12 for run in runs)
+
+
+def test_decode_sentences_of_no_sentences_is_empty():
+    model = CrfModel(label_set=LABELS3, template=POS_TEMPLATE, weights={})
+    assert decode_sentences(model, []) == []
+
+
+def test_decode_sentences_names_an_empty_sentence_by_its_input_position():
+    model = CrfModel(label_set=LABELS3, template=POS_TEMPLATE, weights={})
+    with pytest.raises(InputError, match="sentence 3 is empty"):
+        decode_sentences(model, [(make_record(),), (make_record(),) * 2, ()])
+
+
+def test_decode_sentences_memory_stays_within_twice_one_long_sentence():
+    """200 short sentences and one of 2000 tokens: the long one is decoded
+    alone, so the peak allocation stays within twice decoding it by itself,
+    where one padded batch of all 201 would take over a hundred times it."""
+    rng = np.random.default_rng(9)
+    short = random_tagging_batch(rng, rng.integers(5, 16, size=200).tolist())
+    (long,) = random_tagging_batch(rng, [2000])
+    sentences = short[:100] + [long] + short[100:]
+    model = random_batch_model(rng, sentences, WORD_WINDOW_TEMPLATE)
+
+    def peak(decode):
+        tracemalloc.start()
+        try:
+            decode()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone = peak(lambda: viterbi_decode(model, long))
+    assert peak(lambda: decode_sentences(model, sentences)) <= 2 * alone
 
 
 def test_sequence_probabilities_sum_to_one():

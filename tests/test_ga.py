@@ -11,6 +11,7 @@ from mwetag import crf
 from mwetag.crf import TrainConfig, train, viterbi_decode
 from mwetag.errors import InputError, ParseError
 from mwetag.evaluation import score
+from mwetag.features import TokenRecord
 from mwetag.ga import (
     Chromosome,
     GaConfig,
@@ -166,6 +167,24 @@ def test_evaluate_fitness_checks_fold_partition():
     folds = split_folds(data, 2, seed=0)
     with pytest.raises(InputError):
         evaluate_fitness(POS_ONLY_BITS, data, CATALOGUE, folds[:1], FAST)
+
+
+def test_evaluate_fitness_refuses_folds_that_repeat_sentences():
+    """As many sentences as the corpus, but s0 and s1 three times each and
+    the other four never: scored, this would read 100.0."""
+    data = make_separable_sentences(6, seed=2)
+    folds = [[data[0]] * 3, [data[1]] * 3]
+    with pytest.raises(InputError, match="^folds must partition the corpus$"):
+        evaluate_fitness(POS_ONLY_BITS, data, CATALOGUE, folds, FAST)
+
+
+def test_evaluate_fitness_takes_folds_of_equal_copies():
+    data = make_separable_sentences(6, seed=2)
+    copies = [tuple(TokenRecord(r.columns, r.label) for r in s) for s in data]
+    folds = [list(copies[:3]), list(copies[3:])]
+    assert evaluate_fitness(POS_ONLY_BITS, data, CATALOGUE, folds, FAST) == evaluate_fitness(
+        POS_ONLY_BITS, data, CATALOGUE, [data[:3], data[3:]], FAST
+    )
 
 
 def test_initialize_population_properties():

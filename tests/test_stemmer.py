@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwetag import stemmer
 from mwetag.errors import ConfigError, InputError
 from mwetag.stemmer import (
     AffixLexicon,
@@ -121,6 +122,47 @@ def test_restart_after_removal_prefers_earlier_entries():
     result = stem("xbac", lexicon)
     assert result.stripped_suffixes == ("c", "a", "b")
     assert result.stem == "x"
+
+
+EDGE_CASES = [
+    # one affix is an edge of another, listed in both orders
+    (("a", "ba"), "baxba", 1),
+    (("ba", "a"), "baxba", 1),
+    (("a", "ba"), "abaxaba", 1),
+    (("ba", "a"), "abaxaba", 1),
+    (("b", "ab", "aab"), "aabxaab", 1),
+    (("aab", "ab", "b"), "xbaabaab", 2),
+    # two affixes share a length; min_stem blocks the longer match only
+    (("abz", "bz", "cz"), "qabz", 2),
+    (("cz", "bz", "abz"), "qcabz", 2),
+    (("xyz", "ayz", "yz"), "bayz", 2),
+    (("ab", "cb", "cab"), "ccab", 2),
+]
+
+
+@pytest.mark.parametrize("affixes, word, min_stem", EDGE_CASES)
+def test_nested_and_same_length_affixes_match_the_reference(affixes, word, min_stem):
+    for side in ("prefix", "suffix"):
+        lists = {"prefix": (), "suffix": (), side: affixes}
+        result = stem(word, AffixLexicon(lists["prefix"], lists["suffix"]), min_stem=min_stem)
+        want_stem, want_removed = reference_strip(word, affixes, min_stem, side)
+        removed = result.stripped_prefixes if side == "prefix" else result.stripped_suffixes
+        assert (result.stem, list(removed)) == (want_stem, want_removed)
+
+
+def test_min_stem_blocks_only_the_longer_of_two_matches():
+    lexicon = AffixLexicon(prefixes=(), suffixes=("abz", "bz", "cz"))
+    assert stem("qabz", lexicon, min_stem=1).stripped_suffixes == ("abz",)
+    assert stem("qabz", lexicon, min_stem=2).stripped_suffixes == ("bz",)
+
+
+def test_a_lexicon_builds_its_edge_index_once(monkeypatch):
+    lexicon = AffixLexicon(prefixes=("a", "ba"), suffixes=("b",))
+    edges = lexicon._edges
+    built = []
+    monkeypatch.setattr(stemmer, "_Edges", lambda *a: built.append(a))
+    assert stem("baxb", lexicon) == stem("baxb", lexicon)
+    assert lexicon._edges is edges and not built
 
 
 def test_min_stem_blocks_short_results():
