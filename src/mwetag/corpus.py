@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -153,15 +154,20 @@ def read_raw(source: str | Path | IO[str]) -> list[list[tuple[str, str, str]]]:
 
 
 _ESCAPES = (("%", "%25"), ("\t", "%09"), ("\n", "%0A"), ("\r", "%0D"), (" ", "%20"))
+_TO_ESCAPE = re.compile("[" + "".join(plain for plain, _ in _ESCAPES) + "]")
 
 
 def _escape(text: str) -> str:
+    if not _TO_ESCAPE.search(text):  # most feature strings hold nothing to escape
+        return text
     for plain, escaped in _ESCAPES:
         text = text.replace(plain, escaped)
     return text
 
 
 def _unescape(text: str) -> str:
+    if "%" not in text:  # every escape starts with %
+        return text
     for plain, escaped in reversed(_ESCAPES[1:]):
         text = text.replace(escaped, plain)
     return text.replace("%25", "%")

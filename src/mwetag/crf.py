@@ -16,14 +16,17 @@ from __future__ import annotations
 import functools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InputError, check_int
 from .features import LABELS, TokenRecord
 from .templates import Template, expand_macros
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 WeightKey = tuple[str, str]  # (feature string, label) or (label_prev, label_cur)
 
@@ -88,14 +91,20 @@ _report_sinks: list[list[TrainReport]] = []
 @contextmanager
 def training_reports() -> Iterator[list[TrainReport]]:
     """Collect the TrainReport of every fit that finishes inside the block,
-    in the order they finish; ``train`` and ``train_and_decode`` keep their
-    return values, so this is how a caller learns why training stopped."""
+    in the order they finish, and a cross-validation's in fold order;
+    ``train`` and ``train_and_decode`` keep their return values, so this is
+    how a caller learns why training stopped."""
     sink: list[TrainReport] = []
     _report_sinks.append(sink)
     try:
         yield sink
     finally:
         _report_sinks.remove(sink)
+
+
+def _record(report: TrainReport) -> None:
+    for sink in _report_sinks:
+        sink.append(report)
 
 
 @dataclass(frozen=True)
@@ -225,7 +234,7 @@ def marginals(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _Compiled:
-    vocab: dict[str, int]  # feature string -> row, numbered 0..n-1
+    vocab: dict[str, int] | range  # feature string -> row, numbered 0..n-1; or only the rows
     feats: np.ndarray  # (N, Tmax, M) int32 feature rows, pad positions zeroed
     gold: np.ndarray  # (N, Tmax) int32 label indices, pad positions zeroed
     mask: np.ndarray  # (N, Tmax) bool; sentences are left-padded, so all end at Tmax - 1
@@ -555,10 +564,11 @@ def _count_gradient(
     return gu, gt
 
 
-def _fit(comp: _Compiled, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+def _fit(comp: _Compiled, config: TrainConfig) -> tuple[np.ndarray, np.ndarray, TrainReport]:
     """Fit a batch's weights by gradient ascent with a backtracking line
-    search from zero init.  The transitions without a B line, and the row
-    of a feature the batch never reaches, get zero gradient and stay zero.
+    search from zero init, and report why it stopped.  The transitions
+    without a B line, and the row of a feature the batch never reaches, get
+    zero gradient and stay zero.  Of the vocab it reads only the length.
 
     Unary scores are linear in the weights, so each iteration gathers the
     gradient's scores eg once and scores a trial step s as e + s * eg.  The
@@ -608,10 +618,7 @@ def _fit(comp: _Compiled, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
             break
         wu, wt, e, fwd, obj, step = wu + s * gu, wt_new, e_new, fwd_new, obj_new, s
         iterations += 1
-    report = TrainReport(iterations, reason, obj, grad_norm, evaluations)
-    for sink in _report_sinks:
-        sink.append(report)
-    return wu, wt
+    return wu, wt, TrainReport(iterations, reason, obj, grad_norm, evaluations)
 
 
 def regularized_objective(
@@ -665,7 +672,9 @@ def train(
     and a fixed line-search policy, no randomness anywhere."""
     config = config or TrainConfig()
     comp = _compile_columns(template, data)
-    weights = _arrays_to_weights(comp, *_fit(comp, config))
+    wu, wt, report = _fit(comp, config)
+    _record(report)
+    weights = _arrays_to_weights(comp, wu, wt)
     return CrfModel(label_set=LabelSet(), template=template, weights=weights, rho=config.rho)
 
 
@@ -673,16 +682,31 @@ def train_and_decode(
     folds: Sequence[Sequence[Sequence[TokenRecord]]],
     template: Template,
     config: TrainConfig | None = None,
+    *,
+    pool: Executor | None = None,
 ) -> list[list[list[str]]]:
     """Each fold's labels, decoded after fitting on the other folds in fold
     order.  Folds are sentence views of one compile, so the fitted rows score
-    a fold as they are, and a feature only that fold reaches scores zero."""
+    a fold as they are, and a feature only that fold reaches scores zero.
+    With a pool, each fold is fitted and decoded on one of its workers; the
+    labels and reports are the same as without."""
     comp = _compile_columns(template, [s for fold in folds for s in fold])
     fold_of = np.repeat(np.arange(len(folds)), [len(fold) for fold in folds])
+    rows = replace(comp, vocab=range(len(comp.vocab)))  # a worker gets no strings
+    task = functools.partial(_fit_and_decode_fold, rows, fold_of, config or TrainConfig())
     decoded = []
-    for k in range(len(folds)):
-        fit_on, test = comp.sentences(fold_of != k), comp.sentences(fold_of == k)
-        wu, wt = _fit(fit_on, config or TrainConfig())
-        paths = _viterbi_batch(_unary_batch(wu, test), wt, test.mask)
+    for paths, report in (pool.map if pool else map)(task, range(len(folds))):
+        _record(report)
         decoded.append([[LABELS[i] for i in path] for path in paths])
     return decoded
+
+
+def _fit_and_decode_fold(
+    comp: _Compiled, fold_of: np.ndarray, config: TrainConfig, k: int
+) -> tuple[list[list[int]], TrainReport]:
+    """Fit on the sentences of comp outside fold k and Viterbi-decode those
+    in it: the label index paths and the fit's report.  A module-level
+    function of arrays, so a worker process can run it."""
+    fit_on, test = comp.sentences(fold_of != k), comp.sentences(fold_of == k)
+    wu, wt, report = _fit(fit_on, config)
+    return _viterbi_batch(_unary_batch(wu, test), wt, test.mask), report

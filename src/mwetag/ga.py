@@ -5,14 +5,19 @@ span F-measure of k-fold cross-validated CRF training runs, so it is fully
 deterministic; all randomness flows from the master seed through per-purpose
 generators, one per (generation, offspring slot), which keeps runs
 reproducible bit for bit no matter how fitness evaluations are scheduled.
+A search fits each fitness evaluation's folds on a pool of worker processes,
+one per fold up to the CPUs it may use, with results identical to one
+process.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +27,9 @@ from .evaluation import score
 from .features import Sentence
 from .stemmer import content_lines
 from .templates import GeneCatalogue, chromosome_to_template
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 _INIT_STREAM = 0
 _OFFSPRING_STREAM = 1
@@ -132,9 +140,11 @@ def evaluate_fitness(
     catalogue: GeneCatalogue,
     folds: Sequence[Sequence[Sentence]],
     train_config: TrainConfig,
+    *,
+    pool: Executor | None = None,
 ) -> float:
     """Mean span F over k held-out folds; the all-zero chromosome is 0.0
-    without any training."""
+    without any training.  A pool fits the folds as train_and_decode says."""
     template = chromosome_to_template(bits, catalogue)  # checks the length
     if not any(bits):
         return 0.0
@@ -142,7 +152,9 @@ def evaluate_fitness(
         raise InputError("folds must partition the corpus")
     fold_scores = [
         score([[record.label for record in s] for s in fold], predicted, mode="span").f_measure
-        for fold, predicted in zip(folds, train_and_decode(folds, template, train_config))
+        for fold, predicted in zip(
+            folds, train_and_decode(folds, template, train_config, pool=pool)
+        )
     ]
     return float(sum(fold_scores) / len(fold_scores))
 
@@ -205,6 +217,31 @@ def mutate(
     return Chromosome(bits=bits)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _fold_pool(workers: int) -> Iterator[Executor | None]:
+    """A pool of worker processes, forked from this one at its first task and
+    shut down and joined on exit; None, so that the folds are fitted here,
+    for one worker or where fork is missing.  The pool modules are imported
+    here, so that no other command loads them."""
+    import multiprocessing
+
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        yield None
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield pool
+
+
 def run_ga(
     corpus: Sequence[Sentence],
     catalogue: GeneCatalogue,
@@ -213,52 +250,57 @@ def run_ga(
 ) -> GaResult:
     """Generational loop with elitism, fitness memoization by bit pattern,
     and early stop once the best fitness has stayed the same in each of the
-    last stagnation_generations generations."""
+    last stagnation_generations generations.  The folds are fitted on
+    min(folds, usable CPUs) worker processes, none of which outlives the
+    search."""
     folds = split_folds(corpus, config.folds, config.seed)
     memo: dict[tuple[int, ...], float] = {}
-
-    def fitness_of(bits: tuple[int, ...]) -> float:
-        if bits not in memo:
-            memo[bits] = evaluate_fitness(bits, corpus, catalogue, folds, train_config)
-        return memo[bits]
-
     population = initialize_population(len(catalogue), config)
     history: list[GenerationRecord] = []
 
-    for generation in range(config.max_generations):
-        pool = [replace(c, fitness=fitness_of(c.bits)) for c in population]
-        best = max(pool, key=lambda c: c.fitness)  # the first of equal fitness
-        mean = float(sum(c.fitness for c in pool) / len(pool))
-        history.append(
-            GenerationRecord(
-                generation=generation + 1,
-                best_fitness=best.fitness,
-                mean_fitness=mean,
-                best_bits=best.bits,
+    with _fold_pool(min(config.folds, _usable_cpus())) as fold_pool:
+
+        def fitness_of(bits: tuple[int, ...]) -> float:
+            if bits not in memo:
+                memo[bits] = evaluate_fitness(
+                    bits, corpus, catalogue, folds, train_config, pool=fold_pool
+                )
+            return memo[bits]
+
+        for generation in range(config.max_generations):
+            pool = [replace(c, fitness=fitness_of(c.bits)) for c in population]
+            best = max(pool, key=lambda c: c.fitness)  # the first of equal fitness
+            mean = float(sum(c.fitness for c in pool) / len(pool))
+            history.append(
+                GenerationRecord(
+                    generation=generation + 1,
+                    best_fitness=best.fitness,
+                    mean_fitness=mean,
+                    best_bits=best.bits,
+                )
             )
-        )
 
-        window = config.stagnation_generations
-        # every best in the window, not just its ends: without elitism the
-        # best can drop and come back
-        if len(history) > window and len({r.best_fitness for r in history[-1 - window:]}) == 1:
-            break
-        if generation + 1 == config.max_generations:
-            break
+            window = config.stagnation_generations
+            # every best in the window, not just its ends: without elitism the
+            # best can drop and come back
+            if len(history) > window and len({r.best_fitness for r in history[-1 - window:]}) == 1:
+                break
+            if generation + 1 == config.max_generations:
+                break
 
-        ranked = sorted(pool, key=lambda c: -c.fitness)  # stable: ties keep pool order
-        next_population: list[Chromosome] = list(ranked[: config.elitism_count])
-        slot = 0
-        while len(next_population) < config.population_size:
-            rng = _derived_rng(config.seed, _OFFSPRING_STREAM, generation, slot)
-            slot += 1
-            parent_a = select_parent(pool, rng)
-            parent_b = select_parent(pool, rng)
-            first, second = crossover(parent_a, parent_b, rng, config.crossover_rate)
-            next_population.append(mutate(first, rng, config.mutation_rate))
-            if len(next_population) < config.population_size:
-                next_population.append(mutate(second, rng, config.mutation_rate))
-        population = next_population
+            ranked = sorted(pool, key=lambda c: -c.fitness)  # stable: ties keep pool order
+            next_population: list[Chromosome] = list(ranked[: config.elitism_count])
+            slot = 0
+            while len(next_population) < config.population_size:
+                rng = _derived_rng(config.seed, _OFFSPRING_STREAM, generation, slot)
+                slot += 1
+                parent_a = select_parent(pool, rng)
+                parent_b = select_parent(pool, rng)
+                first, second = crossover(parent_a, parent_b, rng, config.crossover_rate)
+                next_population.append(mutate(first, rng, config.mutation_rate))
+                if len(next_population) < config.population_size:
+                    next_population.append(mutate(second, rng, config.mutation_rate))
+            population = next_population
 
     top = max(history, key=lambda r: r.best_fitness)  # the first generation to reach it
     return GaResult(

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+from mwetag import ga
 from mwetag.features import NUM_COLUMNS, TokenRecord
 from mwetag.stemmer import AffixLexicon
 
@@ -49,6 +53,17 @@ def make_record(
 
 def make_sentence(*word_label_pairs: tuple[str, str]) -> tuple[TokenRecord, ...]:
     return tuple(make_record(word=w, label=lab) for w, lab in word_label_pairs)
+
+
+@pytest.fixture
+def fork_pool():
+    """Forked worker processes, two or as many as this process may run on,
+    shut down and joined after the test."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method")
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(min(2, ga._usable_cpus()), mp_context=context) as pool:
+        yield pool
 
 
 @pytest.fixture

@@ -621,9 +621,8 @@ def test_one_gather_per_iteration_and_no_forward_pass_rerun(monkeypatch):
     monkeypatch.setattr(crf, "_unary_batch", counted_gather)
     monkeypatch.setattr(crf, "_forward", counted_forward)
     data = make_separable_sentences(12, seed=9)
-    with training_reports() as reports:
-        _fit(_compile_columns(WORD_POS_TEMPLATE, data), TrainConfig(rho=10.0, max_iterations=40))
-    (report,) = reports
+    config = TrainConfig(rho=10.0, max_iterations=40)
+    *_, report = _fit(_compile_columns(WORD_POS_TEMPLATE, data), config)
     assert report.iterations == 40
     assert calls["gather"] <= report.iterations + 1
     assert 0 < calls["forward"] <= report.evaluations
@@ -809,9 +808,7 @@ def test_fit_matches_the_reference_training_loop(seed, monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         want, want_wu, want_wt = reference_fit(data, template, config)
         comp = _compile_columns(template, data)
-        with training_reports() as reports:
-            wu, wt = _fit(comp, config)
-        (report,) = reports
+        wu, wt, report = _fit(comp, config)
         gradients = report.iterations + (report.stop_reason != "max_iterations")
         assert (gradients, report.evaluations) == tuple(calls.values())
         assert comp.vocab.keys() == want.vocab.keys()
@@ -1184,9 +1181,10 @@ def test_train_without_bigram_stores_no_label_pairs():
     assert not [key for key in model.weights if key[0] in LABELS]
 
 
-def test_train_and_decode_matches_separate_calls():
+def test_train_and_decode_matches_separate_calls(fork_pool):
     """For 2 and 3 folds, each fold decodes as viterbi_decode does under
-    train() on the other folds, in fold order.  The word window gives a fold
+    train() on the other folds, in fold order, whether the folds are fitted
+    in this process or on a pool of workers.  The word window gives a fold
     feature strings the other folds never reach; the bare B line is a
     transition-only CRF."""
     data = [*make_separable_sentences(10, seed=2), *make_separable_sentences(4, seed=13)]
@@ -1195,12 +1193,31 @@ def test_train_and_decode_matches_separate_calls():
     for k in (2, 3):
         folds = [data[i::k] for i in range(k)]
         for template in templates:
-            fused = train_and_decode(folds, template, config=config)
-            assert len(fused) == k
+            separate = []
             for held, fold in enumerate(folds):
                 others = [s for j, other in enumerate(folds) if j != held for s in other]
                 model = train(others, template, config=config)
-                assert fused[held] == [viterbi_decode(model, s) for s in fold]
+                separate.append([viterbi_decode(model, s) for s in fold])
+            for pool in (None, fork_pool):
+                assert train_and_decode(folds, template, config=config, pool=pool) == separate
+
+
+def test_training_reports_cross_from_pool_workers_in_fold_order(fork_pool):
+    """A pooled cross-validation reports each fold's fit to the open sinks of
+    this process, in fold order, as the same fits in this process do."""
+    data = make_separable_sentences(12, seed=9)
+    folds = [data[:2], data[2:7], data[7:]]  # unequal folds: every fit differs
+    config = TrainConfig(rho=10.0, max_iterations=15)
+    with training_reports() as separate:
+        for held in range(3):
+            train([s for j, f in enumerate(folds) if j != held for s in f], POS_TEMPLATE, config)
+    with training_reports() as serial:
+        train_and_decode(folds, POS_TEMPLATE, config)
+    with training_reports() as outer, training_reports() as pooled:
+        train_and_decode(folds, POS_TEMPLATE, config, pool=fork_pool)
+    assert len(set(separate)) == 3
+    assert serial == separate
+    assert pooled == outer == separate
 
 
 def test_train_and_decode_handles_unseen_features():

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mwetag import crf
+from mwetag import crf, ga
 from mwetag.crf import TrainConfig, train, viterbi_decode
 from mwetag.errors import InputError, ParseError
 from mwetag.evaluation import score
@@ -373,7 +376,7 @@ def test_run_ga_stops_on_stagnation():
 def test_run_ga_stops_only_when_the_whole_window_is_flat(monkeypatch, seed):
     # without elitism the best can drop and come back: [3, 3, 2, 3] has equal
     # ends, but its window of 2 generations did not stand still
-    monkeypatch.setattr("mwetag.ga.evaluate_fitness", lambda bits, *_: float(sum(bits) % 4))
+    monkeypatch.setattr("mwetag.ga.evaluate_fitness", lambda bits, *_, **__: float(sum(bits) % 4))
     config = GaConfig(
         population_size=3,
         elitism_count=0,
@@ -436,6 +439,47 @@ def test_run_ga_finds_the_pos_gene_on_separable_data():
     result = run_ga(data, small_catalogue(), config=config, train_config=FAST)
     assert result.best.bits[2] == 1  # pos[0] is gene 2 of the small catalogue
     assert result.best.fitness > 80.0
+
+
+needs_two_cpus = pytest.mark.skipif(
+    ga._usable_cpus() < 2, reason="a pool of two workers needs two CPUs"
+)
+
+
+@needs_two_cpus
+def test_run_ga_leaves_no_worker_process_running(monkeypatch):
+    """Three folds on two CPUs: two workers fit the folds while the search
+    runs, and none is left once it returns."""
+    alive = []
+
+    def watched(*args, **kwargs):
+        fitness = evaluate_fitness(*args, **kwargs)
+        alive.append(len(multiprocessing.active_children()))
+        return fitness
+
+    monkeypatch.setattr(ga, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ga, "evaluate_fitness", watched)
+    config = GaConfig(population_size=4, max_generations=2, folds=3, seed=2)
+    run_ga(make_separable_sentences(9, seed=6), small_catalogue(), config, FAST)
+    assert alive and set(alive) == {2}
+    assert multiprocessing.active_children() == []
+
+
+@needs_two_cpus
+def test_run_ga_leaves_no_worker_process_running_after_a_worker_raises(monkeypatch):
+    """A fit that raises in a worker raises the same error type from
+    run_ga, and every worker is gone when it does."""
+
+    def failing(comp, config):
+        raise InputError(f"fit failed in process {os.getpid()}")
+
+    monkeypatch.setattr(ga, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(crf, "_fit", failing)  # forked workers inherit the patch
+    config = GaConfig(population_size=4, max_generations=2, folds=2, seed=2)
+    with pytest.raises(InputError, match="^fit failed in process ") as raised:
+        run_ga(make_separable_sentences(8, seed=6), small_catalogue(), config, FAST)
+    assert int(str(raised.value).split()[-1]) != os.getpid()
+    assert multiprocessing.active_children() == []
 
 
 def test_history_csv_round_trip():
