@@ -246,6 +246,7 @@ def load_model(source: str | Path | IO[str]) -> CrfModel:
     at = 4 + n_template
     n_weights = _count(header(at, "weights"), "weights", line=at + 1)
     weights: dict[tuple[str, str], float] = {}
+    prefixes = tuple(f"{macro.id}:" for macro in template.macros)
     for lineno in range(at + 2, at + 2 + n_weights):
         row = need(lineno - 1, "weight row").split("\t")
         if len(row) != 3:
@@ -255,6 +256,8 @@ def load_model(source: str | Path | IO[str]) -> CrfModel:
             raise ParseError(f"weight label {key[1]!r} not in {LABELS}", line=lineno)
         if key[0] in LABELS and not template.include_label_bigram:
             raise ParseError(f"label pair {key!r} but the template has no B line", line=lineno)
+        if key[0] not in LABELS and not key[0].startswith(prefixes):
+            raise ParseError(f"feature {key[0]!r} has no macro id of the template", line=lineno)
         if key in weights:
             raise ParseError(f"duplicate weight key {key!r}", line=lineno)
         weights[key] = _finite(row[2], "weight", line=lineno)

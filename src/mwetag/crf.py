@@ -139,11 +139,17 @@ def _lse(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def build_lattice(model: CrfModel, rows: Sequence[TokenRecord]) -> Lattice:
-    """Score one sentence through the batch core: compile it against its own
-    feature strings, look each string's weights up once, and sum the rows.
-    Labels are never scored, so unlabeled rows score like labeled ones."""
-    comp, wu, wt = _bind(model, [rows])
-    return Lattice(log_unary=_unary_batch(wu, comp)[0], log_transition=wt)
+    """Score one sentence by definition: a position's unary scores sum the
+    weights of its feature strings, as expand_macros spells them, in macro
+    order from 0.0, as the batch gather adds them.  Labels are never scored,
+    so unlabeled rows score like labeled ones."""
+    if not rows:
+        raise InputError("sentence 1 is empty")
+    unary = np.zeros((len(rows), len(LABELS)))
+    for t, scores in enumerate(unary):
+        for s in expand_macros(model.template, rows, t):
+            scores += [model.weights.get((s, lab), 0.0) for lab in LABELS]
+    return Lattice(log_unary=unary, log_transition=_transitions(model))
 
 
 def _as_batch(lattice: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -275,9 +281,9 @@ class _Compiled:
 
 
 def _frame(data: Sequence[Sequence[TokenRecord]]) -> tuple[np.ndarray, np.ndarray]:
-    """Check a batch and compile what every compile shares: the mask of its
-    sentences padded on the left and their gold label indices.  Every
-    TokenRecord carries a label (O unless given), and scoring never reads them."""
+    """Check a batch and frame it: the mask of its sentences padded on the
+    left and their gold label indices.  Every TokenRecord carries a label (O
+    unless given), and scoring never reads them."""
     lengths = [len(rows) for rows in data]
     if not lengths:
         raise InputError("expected at least one sentence, got none")
@@ -288,21 +294,6 @@ def _frame(data: Sequence[Sequence[TokenRecord]]) -> tuple[np.ndarray, np.ndarra
     gold = np.zeros(mask.shape, dtype=np.int32)
     gold[mask] = [LABELS.index(row.label) for rows in data for row in rows]
     return mask, gold
-
-
-def _compile(template: Template, data: Sequence[Sequence[TokenRecord]]) -> _Compiled:
-    """Intern a batch's feature strings, as expand_macros spells them, to
-    integer rows in first-seen order.  Binding a stored model compiles this
-    way, since its weights are keyed by those strings."""
-    mask, gold = _frame(data)
-    vocab: dict[str, int] = {}
-    feats = np.zeros((*mask.shape, len(template.macros)), dtype=np.int32)
-    feats[mask] = [
-        [vocab.setdefault(s, len(vocab)) for s in expand_macros(template, rows, t)]
-        for rows in data
-        for t in range(len(rows))
-    ]
-    return _Compiled(vocab, feats, gold, mask, bigram=template.include_label_bigram)
 
 
 def _intern(strings: list[str], ids: dict[str, int]) -> np.ndarray:
@@ -365,8 +356,8 @@ def _feature_keys(
 
 
 def _compile_columns(template: Template, data: Sequence[Sequence[TokenRecord]]) -> _Compiled:
-    """Compile a training batch from _feature_keys, with no string per token
-    and macro: every position gets the feature strings _compile gives it.
+    """Compile a batch from _feature_keys, with no string per token and
+    macro: every position gets the feature strings expand_macros spells.
     Rows are numbered in key order over the keys some token reaches, so
     each macro's rows form one block, in macro order; each feature is
     spelled once, for vocab."""
@@ -383,19 +374,23 @@ def _compile_columns(template: Template, data: Sequence[Sequence[TokenRecord]]) 
     return _Compiled(vocab, feats, gold, mask, bigram=template.include_label_bigram)
 
 
+def _transitions(model: CrfModel) -> np.ndarray:
+    """The model's label-pair weights as an (L, L) matrix, zero wherever the
+    weight map has no entry and everywhere without a B line."""
+    pairs = model.weights if model.template.include_label_bigram else {}
+    return np.array([[pairs.get((a, b), 0.0) for b in LABELS] for a in LABELS], dtype=float)
+
+
 def _bind(
     model: CrfModel, data: Sequence[Sequence[TokenRecord]]
 ) -> tuple[_Compiled, np.ndarray, np.ndarray]:
     """Compile data and look the model's weights up once per feature string:
-    unary rows in vocab order and the transition matrix, zero wherever the
-    weight map has no entry or the template has no B line."""
-    comp = _compile(model.template, data)
+    unary rows in vocab order, zero wherever the weight map has no entry,
+    and the transition matrix."""
+    comp = _compile_columns(model.template, data)
     get = model.weights.get
     wu = np.array([[get((s, lab), 0.0) for lab in LABELS] for s in comp.vocab], dtype=float)
-    wt = np.zeros((len(LABELS), len(LABELS)))
-    if comp.bigram:
-        wt = np.array([[get((a, b), 0.0) for b in LABELS] for a in LABELS], dtype=float)
-    return comp, wu.reshape(len(comp.vocab), len(LABELS)), wt
+    return comp, wu.reshape(len(comp.vocab), len(LABELS)), _transitions(model)
 
 
 def _unary_batch(wu: np.ndarray, comp: _Compiled) -> np.ndarray:

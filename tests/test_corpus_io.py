@@ -356,6 +356,22 @@ def test_load_model_rejects_label_pairs_without_b_line(tmp_path):
     assert "line 8:" in str(exc.value)
 
 
+@pytest.mark.parametrize("first", ["U99:foo", "garbage", "U00", "U0:w", "U00:w", "B"])
+def test_load_model_rejects_features_no_macro_spells(tmp_path, first):
+    """Every feature string starts with a macro id of the template and ':',
+    so binding never looks any other key up; a file holding one is refused
+    rather than counted in the penalty.  U00:w is refused under a template
+    with only a B line."""
+    template = "B\n" if first == "U00:w" else "U00:%x[0,0]\nB\n"
+    path = tmp_path / "model.txt"
+    save_model(CrfModel(LabelSet(), parse_template(template), {("O", "O"): 1.0}), path)
+    text = path.read_text(encoding="utf-8").replace("weights 1\n", "weights 2\n")
+    path.write_text(text + f"{first}\tO\t7.0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="has no macro id of the template") as exc:
+        load_model(path)
+    assert exc.value.line == text.count("\n") + 1
+
+
 weight_strings = st.text(
     alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)),
     min_size=1,
@@ -365,7 +381,7 @@ weight_strings = st.text(
 
 @given(
     st.dictionaries(
-        st.tuples(weight_strings, st.sampled_from(LABELS)),
+        st.tuples(weight_strings.map("U00:".__add__), st.sampled_from(LABELS)),
         st.floats(allow_nan=False, allow_infinity=False),
         min_size=0,
         max_size=20,

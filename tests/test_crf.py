@@ -19,11 +19,11 @@ from mwetag.crf import (
     TrainConfig,
     _arrays_to_weights,
     _bind,
-    _compile,
     _compile_columns,
     _Compiled,
     _fit,
     _forward,
+    _frame,
     _lse,
     _messages,
     _posteriors,
@@ -46,7 +46,12 @@ from mwetag.crf import (
 from mwetag.errors import InputError
 from mwetag.evaluation import score
 from mwetag.features import LABELS, TokenRecord
-from mwetag.templates import chromosome_to_template, default_catalogue, parse_template
+from mwetag.templates import (
+    chromosome_to_template,
+    default_catalogue,
+    expand_macros,
+    parse_template,
+)
 from tests.conftest import make_record, make_separable_sentences
 
 LABELS3 = LabelSet()
@@ -78,8 +83,6 @@ def random_model_and_sentence(rng, T, vocab=4, bigram=True):
         for _ in range(T)
     )
     weights = {}
-    from mwetag.templates import expand_macros
-
     for t in range(T):
         for s in expand_macros(template, sentence, t):
             for label in LABELS3.labels:
@@ -96,8 +99,6 @@ def test_lattice_entries_are_weight_sums():
     rng = np.random.default_rng(0)
     model, sentence = random_model_and_sentence(rng, T=4)
     lattice = build_lattice(model, sentence)
-    from mwetag.templates import expand_macros
-
     for t in range(len(sentence)):
         for li, label in enumerate(LABELS3.labels):
             want = sum(
@@ -200,8 +201,6 @@ def test_zero_weight_model_decodes_outside():
 def random_batch_model(rng, sentences, template):
     """Random weights on about four in five of the batch's feature strings,
     and on every label pair when the template has a B line."""
-    from mwetag.templates import expand_macros
-
     weights = {}
     for rows in sentences:
         for t in range(len(rows)):
@@ -987,6 +986,21 @@ def test_per_macro_gather_equals_the_fancy_index_sum(n_macros):
         assert np.array_equal(_unary_batch(wu, comp), wu[feats].sum(axis=2))
 
 
+def _compile(template, data):
+    """The string compile, the reference for _compile_columns: every
+    position's feature strings, as expand_macros spells them, interned to
+    rows in first-seen order."""
+    mask, gold = _frame(data)
+    vocab = {}
+    feats = np.zeros((*mask.shape, len(template.macros)), dtype=np.int32)
+    feats[mask] = [
+        [vocab.setdefault(s, len(vocab)) for s in expand_macros(template, rows, t)]
+        for rows in data
+        for t in range(len(rows))
+    ]
+    return _Compiled(vocab, feats, gold, mask, bigram=template.include_label_bigram)
+
+
 def spelled(comp):
     """The feature string of every macro at every real position."""
     names = np.array(list(comp.vocab), dtype=object)
@@ -1129,6 +1143,40 @@ def test_a_sentence_view_is_the_compile_of_its_sentences(seed):
         comp.sentences(np.zeros(len(comp.mask), dtype=bool))
 
 
+BIND_TEMPLATES = {
+    **EDGE_TEMPLATES,
+    "offsets-2": parse_template("U0:%x[-2,0]\nU1:%x[2,21]\nU2:%x[-1,0]/%x[1,21]\nB\n"),
+}
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("name", list(BIND_TEMPLATES))
+def test_build_lattice_is_its_row_of_the_batch_gather(name, seed):
+    """build_lattice, which adds each position's weights string by string,
+    gives every sentence its row of the gather over _bind's column compile
+    bit for bit, and _bind's transitions: on cells spelled like boundary
+    literals, conjunctions, offsets of +-2, +-3 and past int64, templates
+    without unigram macros, and weights on strings no sentence reaches.
+    Weights spread over 16 orders of magnitude make any other summation
+    order show."""
+    rng = np.random.default_rng(1000 + seed)
+    template, data = BIND_TEMPLATES[name], edge_batch(rng)
+    reached = sorted({
+        s for rows in data for t in range(len(rows)) for s in expand_macros(template, rows, t)
+    })
+    strings = [s for s in reached if rng.random() < 0.8]
+    strings += [f"{macro.id}:never" for macro in template.macros] + ["U99:x"]
+    keys = [(s, lab) for s in strings for lab in LABELS] + list(itertools.product(LABELS, LABELS))
+    weights = {key: float(rng.normal() * 10.0 ** rng.integers(-8, 8)) for key in keys}
+    model = CrfModel(LABELS3, template, weights)
+    comp, wu, wt = _bind(model, data)
+    e = _unary_batch(wu, comp)
+    for n, rows in enumerate(data):
+        lattice = build_lattice(model, rows)
+        assert np.array_equal(lattice.log_unary, e[n, comp.mask[n]])
+        assert np.array_equal(lattice.log_transition, wt)
+
+
 @pytest.mark.parametrize("compile_", [_compile, _compile_columns])
 @pytest.mark.parametrize("template", [POS_TEMPLATE, EDGE_TEMPLATES["B-only"]], ids=["U", "B-only"])
 def test_both_compiles_refuse_a_batch_alike(compile_, template):
@@ -1140,9 +1188,10 @@ def test_both_compiles_refuse_a_batch_alike(compile_, template):
 
 
 def test_training_expands_no_strings_and_tagging_one_per_token(monkeypatch):
-    """Training compiles column by column, and cross-validation compiles
-    every fold at once; binding a stored model still spells every position's
-    feature strings, once per token."""
+    """Training, cross-validation (every fold at once), and binding a stored
+    model to a batch in decode_sentences, gradient and regularized_objective
+    all compile column by column and spell no feature string per token; only
+    build_lattice, under viterbi_decode, spells each token's strings, once."""
     calls, compiles = [], []
 
     def counted(template, rows, t):
@@ -1162,9 +1211,13 @@ def test_training_expands_no_strings_and_tagging_one_per_token(monkeypatch):
     model = train(train_data, WORD_WINDOW_TEMPLATE, config)
     train_and_decode([train_data[:3], train_data[3:], test_data], WORD_WINDOW_TEMPLATE, config)
     assert calls == [] and compiles == [6, 9]
+    decode_sentences(model, test_data)
+    gradient(model, test_data)
+    regularized_objective(model, test_data)
+    assert calls == [] and compiles == [6, 9, 3, 3, 3]
     for sentence in test_data:
         viterbi_decode(model, sentence)
-    assert len(calls) == sum(len(s) for s in test_data)
+    assert len(calls) == sum(len(s) for s in test_data) and len(compiles) == 5
 
 
 def test_train_materializes_label_pairs_for_seen_features():
@@ -1234,7 +1287,7 @@ def test_train_and_decode_handles_unseen_features():
 def test_empty_sentence_is_refused():
     model = train(make_separable_sentences(3, seed=4), POS_TEMPLATE, TrainConfig(max_iterations=2))
     for call in (build_lattice, viterbi_decode):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^sentence 1 is empty$"):
             call(model, ())
 
 
