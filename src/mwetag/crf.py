@@ -16,8 +16,8 @@ from __future__ import annotations
 import functools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,9 +91,9 @@ _report_sinks: list[list[TrainReport]] = []
 @contextmanager
 def training_reports() -> Iterator[list[TrainReport]]:
     """Collect the TrainReport of every fit that finishes inside the block,
-    in the order they finish, and a cross-validation's in fold order;
-    ``train`` and ``train_and_decode`` keep their return values, so this is
-    how a caller learns why training stopped."""
+    in the order they finish, and a cross-validation's in fold order when
+    its collector runs; ``train`` and ``train_and_decode`` keep their return
+    values, so this is how a caller learns why training stopped."""
     sink: list[TrainReport] = []
     _report_sinks.append(sink)
     try:
@@ -305,16 +305,16 @@ def _intern(strings: list[str], ids: dict[str, int]) -> np.ndarray:
 
 def _feature_keys(
     template: Template, data: Sequence[Sequence[TokenRecord]], mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list[dict[str, int]]]:
     """Key every token's feature under every macro, (n_tokens, M) int32 in
     token-major order, as the macro's base offset plus its value id; also
-    each macro's number of values and every key's value string.  Each
-    referenced column is interned once; a single-reference macro shifts
-    those ids inside each sentence, and a boundary cell takes the id of its
-    _B-k/_B+k literal in the same column, so a real cell spelled like the
-    literal shares its feature.  A conjunction interns its joined string,
-    the feature's identity.  Macro ids hold no ':', so two keys are one
-    feature exactly when their strings are."""
+    each macro's value ids by value string.  Each referenced column is
+    interned once; a single-reference macro shifts those ids inside each
+    sentence, and a boundary cell takes the id of its _B-k/_B+k literal in
+    the same column, so a real cell spelled like the literal shares its
+    feature.  A conjunction interns its joined string, the feature's
+    identity.  Macro ids hold no ':', so two keys are one feature exactly
+    when their strings are."""
     tokens = [row.columns for rows in data for row in rows]
     lengths = mask.sum(axis=1)
     length = np.repeat(lengths, lengths)  # each token's sentence length
@@ -352,25 +352,31 @@ def _feature_keys(
         spaces.append(values)
     sizes = np.array([len(v) for v in spaces], dtype=np.int32)
     keys += np.cumsum(sizes, dtype=np.int32) - sizes
-    return keys, sizes, np.array([s for v in spaces for s in v], dtype=object)
+    return keys, spaces
 
 
-def _compile_columns(template: Template, data: Sequence[Sequence[TokenRecord]]) -> _Compiled:
+def _compile_columns(
+    template: Template, data: Sequence[Sequence[TokenRecord]], spell: bool = True
+) -> _Compiled:
     """Compile a batch from _feature_keys, with no string per token and
     macro: every position gets the feature strings expand_macros spells.
     Rows are numbered in key order over the keys some token reaches, so
     each macro's rows form one block, in macro order; each feature is
-    spelled once, for vocab."""
+    spelled once, for vocab.  Unspelled, vocab is only the range of rows,
+    all that a fit reads."""
     mask, gold = _frame(data)
-    keys, sizes, names = _feature_keys(template, data, mask)
-    used = np.zeros(len(names), dtype=bool)
+    keys, spaces = _feature_keys(template, data, mask)
+    sizes = [len(values) for values in spaces]
+    used = np.zeros(sum(sizes), dtype=bool)
     used[keys] = True
     feats = np.zeros((*mask.shape, len(template.macros)), dtype=np.int32)
     feats[mask] = (np.cumsum(used, dtype=np.int32) - 1)[keys]
-
-    prefixes = np.array([f"{macro.id}:" for macro in template.macros], dtype=object)
-    spelled = np.repeat(prefixes, sizes)[used] + names[used]
-    vocab = dict(zip(spelled.tolist(), range(len(spelled))))
+    vocab: dict[str, int] | range = range(int(used.sum()))
+    if spell:
+        prefixes = np.array([f"{macro.id}:" for macro in template.macros], dtype=object)
+        names = np.array([s for values in spaces for s in values], dtype=object)
+        spelled = np.repeat(prefixes, sizes)[used] + names[used]
+        vocab = dict(zip(spelled.tolist(), vocab))
     return _Compiled(vocab, feats, gold, mask, bigram=template.include_label_bigram)
 
 
@@ -681,19 +687,42 @@ def train_and_decode(
     pool: Executor | None = None,
 ) -> list[list[list[str]]]:
     """Each fold's labels, decoded after fitting on the other folds in fold
-    order.  Folds are sentence views of one compile, so the fitted rows score
-    a fold as they are, and a feature only that fold reaches scores zero.
-    With a pool, each fold is fitted and decoded on one of its workers; the
-    labels and reports are the same as without."""
-    comp = _compile_columns(template, [s for fold in folds for s in fold])
+    order: start_train_and_decode's collector, called at once."""
+    return start_train_and_decode(folds, template, config, pool=pool)()
+
+
+def start_train_and_decode(
+    folds: Sequence[Sequence[Sequence[TokenRecord]]],
+    template: Template,
+    config: TrainConfig | None = None,
+    *,
+    pool: Executor | None = None,
+) -> Callable[[], list[list[list[str]]]]:
+    """Compile the folds and start cross-validating them; return the
+    collector, called once, that gives train_and_decode's labels.  Folds
+    are sentence views of one compile, so the fitted rows score a fold as
+    they are, and a feature only that fold reaches scores zero.  With a
+    pool, each fold's fit and decode is submitted to it now as one task of
+    integer arrays, no feature string; without one, the collector runs them
+    here.  The collector records the fits' reports in fold order, and its
+    labels and reports are the same either way."""
+    comp = _compile_columns(template, [s for fold in folds for s in fold], spell=False)
     fold_of = np.repeat(np.arange(len(folds)), [len(fold) for fold in folds])
-    rows = replace(comp, vocab=range(len(comp.vocab)))  # a worker gets no strings
-    task = functools.partial(_fit_and_decode_fold, rows, fold_of, config or TrainConfig())
-    decoded = []
-    for paths, report in (pool.map if pool else map)(task, range(len(folds))):
-        _record(report)
-        decoded.append([[LABELS[i] for i in path] for path in paths])
-    return decoded
+    task = functools.partial(_fit_and_decode_fold, comp, fold_of, config or TrainConfig())
+    if pool:
+        futures = [pool.submit(task, k) for k in range(len(folds))]
+        results = (future.result() for future in futures)
+    else:
+        results = map(task, range(len(folds)))
+
+    def collect() -> list[list[list[str]]]:
+        decoded = []
+        for paths, report in results:
+            _record(report)
+            decoded.append([[LABELS[i] for i in path] for path in paths])
+        return decoded
+
+    return collect
 
 
 def _fit_and_decode_fold(

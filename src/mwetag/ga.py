@@ -6,22 +6,24 @@ deterministic; all randomness flows from the master seed through per-purpose
 generators, one per (generation, offspring slot), which keeps runs
 reproducible bit for bit no matter how fitness evaluations are scheduled.
 A search fits each fitness evaluation's folds on a pool of worker processes,
-one per fold up to the CPUs it may use, with results identical to one
-process.
+one per fold up to the CPUs it may use, and queues the next chromosome's
+folds while it collects the current one's, so a worker that finishes early
+starts on them; its outputs are byte-identical at any number of workers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .crf import TrainConfig, train_and_decode
+from .crf import TrainConfig, start_train_and_decode, train_and_decode
 from .errors import InputError, ParseError, check_int
 from .evaluation import score
 from .features import Sentence
@@ -142,19 +144,23 @@ def evaluate_fitness(
     train_config: TrainConfig,
     *,
     pool: Executor | None = None,
+    started: Callable[[], list[list[list[str]]]] | None = None,
 ) -> float:
     """Mean span F over k held-out folds; the all-zero chromosome is 0.0
-    without any training.  A pool fits the folds as train_and_decode says."""
+    without any training.  A pool fits the folds as train_and_decode says.
+    started, when given, is the collector that start_train_and_decode
+    returned for these bits' template, folds and config, and its labels are
+    scored in place of a new cross-validation: run_ga starts the next
+    chromosome's fits before it collects this one's."""
     template = chromosome_to_template(bits, catalogue)  # checks the length
     if not any(bits):
         return 0.0
     if not _partitions(folds, corpus):
         raise InputError("folds must partition the corpus")
+    decoded = started() if started else train_and_decode(folds, template, train_config, pool=pool)
     fold_scores = [
         score([[record.label for record in s] for s in fold], predicted, mode="span").f_measure
-        for fold, predicted in zip(
-            folds, train_and_decode(folds, template, train_config, pool=pool)
-        )
+        for fold, predicted in zip(folds, decoded)
     ]
     return float(sum(fold_scores) / len(fold_scores))
 
@@ -228,9 +234,10 @@ def _usable_cpus() -> int:
 @contextmanager
 def _fold_pool(workers: int) -> Iterator[Executor | None]:
     """A pool of worker processes, forked from this one at its first task and
-    shut down and joined on exit; None, so that the folds are fitted here,
-    for one worker or where fork is missing.  The pool modules are imported
-    here, so that no other command loads them."""
+    shut down and joined on exit, with the tasks not yet started cancelled;
+    None, so that the folds are fitted here, for one worker or where fork
+    is missing.  The pool modules are imported here, so that no other
+    command loads them."""
     import multiprocessing
 
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
@@ -238,8 +245,15 @@ def _fold_pool(workers: int) -> Iterator[Executor | None]:
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
         yield pool
+    finally:  # a search that raises may leave the chromosome ahead's folds queued
+        pool.shutdown(cancel_futures=True)
+
+
+def _raise(error: Exception) -> NoReturn:
+    raise error
 
 
 def run_ga(
@@ -250,9 +264,18 @@ def run_ga(
 ) -> GaResult:
     """Generational loop with elitism, fitness memoization by bit pattern,
     and early stop once the best fitness has stayed the same in each of the
-    last stagnation_generations generations.  The folds are fitted on
-    min(folds, usable CPUs) worker processes, none of which outlives the
-    search."""
+    last stagnation_generations generations.
+
+    Each generation's distinct chromosomes that the memo lacks go through
+    evaluate_fitness once each, in population order.  Their folds are
+    fitted on min(folds, usable CPUs) worker processes, none of which
+    outlives the search, one chromosome ahead: the next chromosome is
+    compiled and its folds queued before this one's are collected, so a
+    worker that finishes early does not idle.  What starting a chromosome
+    raises is raised by its own evaluation, so the first to fail in
+    population order raises.  Without a pool the same loop fits each
+    chromosome as it is collected; the outputs are byte-identical at any
+    number of workers."""
     folds = split_folds(corpus, config.folds, config.seed)
     memo: dict[tuple[int, ...], float] = {}
     population = initialize_population(len(catalogue), config)
@@ -260,15 +283,23 @@ def run_ga(
 
     with _fold_pool(min(config.folds, _usable_cpus())) as fold_pool:
 
-        def fitness_of(bits: tuple[int, ...]) -> float:
-            if bits not in memo:
-                memo[bits] = evaluate_fitness(
-                    bits, corpus, catalogue, folds, train_config, pool=fold_pool
-                )
-            return memo[bits]
+        def start(bits: tuple[int, ...]) -> Callable[[], list[list[list[str]]]]:
+            try:
+                template = chromosome_to_template(bits, catalogue)
+                return start_train_and_decode(folds, template, train_config, pool=fold_pool)
+            except Exception as error:  # raised in population order, by its own evaluation
+                return functools.partial(_raise, error)
 
         for generation in range(config.max_generations):
-            pool = [replace(c, fitness=fitness_of(c.bits)) for c in population]
+            todo = list(dict.fromkeys(c.bits for c in population if c.bits not in memo))
+            started = start(todo[0]) if todo else None
+            for i, bits in enumerate(todo):
+                ahead = start(todo[i + 1]) if i + 1 < len(todo) else None
+                memo[bits] = evaluate_fitness(
+                    bits, corpus, catalogue, folds, train_config, pool=fold_pool, started=started
+                )
+                started = ahead
+            pool = [replace(c, fitness=memo[c.bits]) for c in population]
             best = max(pool, key=lambda c: c.fitness)  # the first of equal fitness
             mean = float(sum(c.fitness for c in pool) / len(pool))
             history.append(

@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import pickle
 import sys
 import tracemalloc
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
 
-from mwetag import crf
+from mwetag import crf, ga
 from mwetag.crf import (
     CrfModel,
     LabelSet,
@@ -46,7 +48,9 @@ from mwetag.crf import (
 from mwetag.errors import InputError
 from mwetag.evaluation import score
 from mwetag.features import LABELS, TokenRecord
+from mwetag.ga import GaConfig, split_folds
 from mwetag.templates import (
+    GeneCatalogue,
     chromosome_to_template,
     default_catalogue,
     expand_macros,
@@ -1198,9 +1202,9 @@ def test_training_expands_no_strings_and_tagging_one_per_token(monkeypatch):
         calls.append(t)
         return expand(template, rows, t)
 
-    def counted_compile(template, data):
+    def counted_compile(template, data, **kwargs):
         compiles.append(len(data))
-        return compile_columns(template, data)
+        return compile_columns(template, data, **kwargs)
 
     expand, compile_columns = crf.expand_macros, crf._compile_columns
     monkeypatch.setattr(crf, "expand_macros", counted)
@@ -1255,9 +1259,11 @@ def test_train_and_decode_matches_separate_calls(fork_pool):
                 assert train_and_decode(folds, template, config=config, pool=pool) == separate
 
 
-def test_training_reports_cross_from_pool_workers_in_fold_order(fork_pool):
+def test_training_reports_cross_from_pool_workers_in_fold_order(fork_pool, monkeypatch):
     """A pooled cross-validation reports each fold's fit to the open sinks of
-    this process, in fold order, as the same fits in this process do."""
+    this process, in fold order, as the same fits in this process do.  So
+    does a pooled search, which queues the next chromosome's folds while it
+    collects this one's: chromosome by chromosome, as a serial search."""
     data = make_separable_sentences(12, seed=9)
     folds = [data[:2], data[2:7], data[7:]]  # unequal folds: every fit differs
     config = TrainConfig(rho=10.0, max_iterations=15)
@@ -1271,6 +1277,60 @@ def test_training_reports_cross_from_pool_workers_in_fold_order(fork_pool):
     assert len(set(separate)) == 3
     assert serial == separate
     assert pooled == outer == separate
+
+    evaluate, evaluated = ga.evaluate_fitness, []
+
+    def watched(bits, *args, **kwargs):
+        evaluated.append(bits)
+        return evaluate(bits, *args, **kwargs)
+
+    monkeypatch.setattr(ga, "evaluate_fitness", watched)
+    catalogue = GeneCatalogue(genes=default_catalogue().genes[33:38])
+    search = GaConfig(population_size=4, max_generations=2, folds=3, seed=2)
+    searches = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(ga, "_usable_cpus", lambda cpus=cpus: cpus)
+        evaluated.clear()
+        with training_reports() as reports:
+            ga.run_ga(data, catalogue, search, config)
+        searches.append(reports)
+    with training_reports() as one_by_one:
+        for bits in evaluated:
+            template = chromosome_to_template(bits, catalogue)
+            train_and_decode(split_folds(data, 3, search.seed), template, config)
+    assert len(one_by_one) == 3 * len(evaluated) > 3
+    assert searches == [one_by_one, one_by_one]
+
+
+def test_train_and_decode_sends_a_pool_no_feature_string():
+    """The fold compile is unspelled: its vocab is only the range of the
+    rows the spelled compile numbers, and the tasks a pool is sent pickle
+    integer arrays with no feature string or word of the data in them."""
+    data = [
+        tuple(make_record(word=f"spelledword{r.columns[0]}", pos=r.columns[21], label=r.label)
+              for r in sentence)
+        for sentence in make_separable_sentences(8, seed=2)
+    ]
+    spelled = _compile_columns(WORD_POS_TEMPLATE, data)
+    rows = _compile_columns(WORD_POS_TEMPLATE, data, spell=False)
+    assert rows.vocab == range(len(spelled.vocab)) and rows.bigram == spelled.bigram
+    for name in ("feats", "gold", "mask"):
+        assert np.array_equal(getattr(rows, name), getattr(spelled, name))
+
+    sent = []
+
+    class Pickling(Executor):
+        def submit(self, fn, /, *args, **kwargs):
+            sent.append(pickle.dumps((fn, args, kwargs)))
+            future = Future()
+            future.set_result(fn(*args, **kwargs))
+            return future
+
+    folds, config = [data[:3], data[3:]], TrainConfig(max_iterations=5)
+    pooled = train_and_decode(folds, WORD_POS_TEMPLATE, config, pool=Pickling())
+    assert pooled == train_and_decode(folds, WORD_POS_TEMPLATE, config)
+    assert len(sent) == 2
+    assert not [task for task in sent if b"spelledword" in task or b"U00:" in task]
 
 
 def test_train_and_decode_handles_unseen_features():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -137,9 +139,9 @@ def test_evaluate_fitness_compiles_the_corpus_once(monkeypatch):
     """Every fold of a fitness evaluation is a view of one compile."""
     compiles = []
 
-    def counted(template, data):
+    def counted(template, data, **kwargs):
         compiles.append(len(data))
-        return compile_columns(template, data)
+        return compile_columns(template, data, **kwargs)
 
     compile_columns = crf._compile_columns
     monkeypatch.setattr(crf, "_compile_columns", counted)
@@ -446,40 +448,166 @@ needs_two_cpus = pytest.mark.skipif(
 )
 
 
+def distinct_initial_bits(length, config):
+    """The first generation's distinct chromosomes, in population order."""
+    return list(dict.fromkeys(c.bits for c in initialize_population(length, config)))
+
+
 @needs_two_cpus
 def test_run_ga_leaves_no_worker_process_running(monkeypatch):
     """Three folds on two CPUs: two workers fit the folds while the search
-    runs, and none is left once it returns."""
-    alive = []
+    runs, and none is left once it returns.  evaluate_fitness is called in
+    this process once for each distinct chromosome the memo lacks, in
+    population order, as a search without workers calls it."""
+    alive, calls = [], []
 
     def watched(*args, **kwargs):
         fitness = evaluate_fitness(*args, **kwargs)
         alive.append(len(multiprocessing.active_children()))
+        calls.append((args[0], os.getpid()))
         return fitness
 
     monkeypatch.setattr(ga, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(ga, "evaluate_fitness", watched)
     config = GaConfig(population_size=4, max_generations=2, folds=3, seed=2)
-    run_ga(make_separable_sentences(9, seed=6), small_catalogue(), config, FAST)
+    data = make_separable_sentences(9, seed=6)
+    run_ga(data, small_catalogue(), config, FAST)
     assert alive and set(alive) == {2}
     assert multiprocessing.active_children() == []
+
+    pooled = calls[:]
+    calls.clear()
+    monkeypatch.setattr(ga, "_usable_cpus", lambda: 1)
+    run_ga(data, small_catalogue(), config, FAST)
+    assert pooled == calls
+    assert {pid for _, pid in pooled} == {os.getpid()}
+    bits = [b for b, _ in pooled]
+    first = distinct_initial_bits(len(small_catalogue()), config)
+    assert len(set(bits)) == len(bits) > len(first) and bits[: len(first)] == first
 
 
 @needs_two_cpus
 def test_run_ga_leaves_no_worker_process_running_after_a_worker_raises(monkeypatch):
-    """A fit that raises in a worker raises the same error type from
-    run_ga, and every worker is gone when it does."""
+    """A fit that raises in a worker raises the same error, type and
+    message, from run_ga, and every worker is gone when it does: when every
+    fit raises, and when only the second distinct chromosome's fits raise,
+    after the first chromosome's were collected and with the third's queued."""
+    config = GaConfig(population_size=4, max_generations=2, folds=2, seed=3)
+    first, second, _, *_ = distinct_initial_bits(len(small_catalogue()), config)
+    assert sum(first) != sum(second)  # the failing fits are picked by macro count
+    fit, evaluated = crf._fit, []
 
-    def failing(comp, config):
-        raise InputError(f"fit failed in process {os.getpid()}")
+    def watched(bits, *args, **kwargs):
+        evaluated.append(bits)
+        return evaluate_fitness(bits, *args, **kwargs)
 
     monkeypatch.setattr(ga, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(crf, "_fit", failing)  # forked workers inherit the patch
-    config = GaConfig(population_size=4, max_generations=2, folds=2, seed=2)
-    with pytest.raises(InputError, match="^fit failed in process ") as raised:
-        run_ga(make_separable_sentences(8, seed=6), small_catalogue(), config, FAST)
-    assert int(str(raised.value).split()[-1]) != os.getpid()
-    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(ga, "evaluate_fitness", watched)
+    for failing, reached in ((None, [first]), (sum(second), [first, second])):
+
+        def failing_fit(comp, train_config, failing=failing):
+            macros = comp.feats.shape[2]
+            if failing in (None, macros):
+                raise InputError(f"fit of {macros} macros failed in process {os.getpid()}")
+            return fit(comp, train_config)
+
+        monkeypatch.setattr(crf, "_fit", failing_fit)  # forked workers inherit the patch
+        evaluated.clear()
+        macros = sum(reached[-1])
+        with pytest.raises(InputError, match=f"^fit of {macros} macros failed in process ") as raised:
+            run_ga(make_separable_sentences(8, seed=6), small_catalogue(), config, FAST)
+        assert int(str(raised.value).split()[-1]) != os.getpid()
+        assert evaluated == reached
+        assert multiprocessing.active_children() == []
+
+
+def test_run_ga_raises_the_error_of_the_first_chromosome_to_fail(monkeypatch):
+    """The chromosome ahead is compiled before the current one is collected,
+    but what its compile raises comes from its own evaluation: after the
+    current one's when that succeeds, and not at all when that raises."""
+    config = GaConfig(population_size=4, max_generations=1, folds=2, seed=3)
+    first, second, *_ = distinct_initial_bits(len(small_catalogue()), config)
+    assert sum(first) != sum(second)
+    compile_columns, fit, evaluated = crf._compile_columns, crf._fit, []
+
+    def failing_compile(template, data, **kwargs):
+        if len(template.macros) == sum(second):
+            raise InputError("compile of the second chromosome failed")
+        return compile_columns(template, data, **kwargs)
+
+    def failing_fit(comp, train_config):
+        if comp.feats.shape[2] == sum(first):
+            raise InputError("fit of the first chromosome failed")
+        return fit(comp, train_config)
+
+    def watched(bits, *args, **kwargs):
+        evaluated.append(bits)
+        return evaluate_fitness(bits, *args, **kwargs)
+
+    monkeypatch.setattr(ga, "_usable_cpus", lambda: 1)  # no pool: the same loop, fits here
+    monkeypatch.setattr(ga, "evaluate_fitness", watched)
+    monkeypatch.setattr(crf, "_compile_columns", failing_compile)
+    data = make_separable_sentences(8, seed=6)
+    with pytest.raises(InputError, match="^compile of the second chromosome failed$"):
+        run_ga(data, small_catalogue(), config, FAST)
+    assert evaluated == [first, second]
+    evaluated.clear()
+    monkeypatch.setattr(crf, "_fit", failing_fit)
+    with pytest.raises(InputError, match="^fit of the first chromosome failed$"):
+        run_ga(data, small_catalogue(), config, FAST)
+    assert evaluated == [first]
+
+
+class RecordingExecutor(Executor):
+    """Runs each task in this process as it is submitted, and logs every
+    submit and every read of a result by the task's submission number."""
+
+    def __init__(self):
+        self.log: list[tuple[str, int]] = []
+        self.submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = LoggedFuture(self.log, self.submitted)
+        self.log.append(("submit", self.submitted))
+        self.submitted += 1
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as error:
+            future.set_exception(error)
+        return future
+
+
+class LoggedFuture(Future):
+    def __init__(self, log, number):
+        super().__init__()
+        self.log, self.number = log, number
+
+    def result(self, timeout=None):
+        self.log.append(("wait", self.number))
+        return super().result(timeout)
+
+
+def test_run_ga_queues_the_next_chromosome_before_collecting_this_one(monkeypatch):
+    """All k fold tasks of chromosome i + 1 are submitted before the first
+    result of chromosome i is read, and chromosome i is submitted only once
+    every result of chromosome i - 2 has been read: one chromosome ahead,
+    never two."""
+    pool = RecordingExecutor()
+    monkeypatch.setattr(ga, "_fold_pool", lambda workers: contextlib.nullcontext(pool))
+    config = GaConfig(population_size=8, max_generations=1, folds=3, seed=2)
+    run_ga(make_separable_sentences(9, seed=6), small_catalogue(), config, FAST)
+    k = config.folds
+    chromosomes = len(distinct_initial_bits(len(small_catalogue()), config))
+    assert chromosomes >= 3 and pool.submitted == k * chromosomes
+    assert sorted(n for event, n in pool.log if event == "wait") == list(range(pool.submitted))
+    first, last = {}, {}
+    for at, (event, n) in enumerate(pool.log):
+        first.setdefault((event, n // k), at)
+        last[event, n // k] = at
+    for i in range(1, chromosomes):
+        assert last["submit", i] < first["wait", i - 1]
+    for i in range(2, chromosomes):
+        assert last["wait", i - 2] < first["submit", i]
 
 
 def test_history_csv_round_trip():
