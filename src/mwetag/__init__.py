@@ -21,7 +21,6 @@ from .crf import (
     log_partition,
     regularized_objective,
     sequence_log_prob,
-    start_train_and_decode,
     train,
     train_and_decode,
     training_reports,

@@ -687,11 +687,11 @@ def train_and_decode(
     pool: Executor | None = None,
 ) -> list[list[list[str]]]:
     """Each fold's labels, decoded after fitting on the other folds in fold
-    order: start_train_and_decode's collector, called at once."""
-    return start_train_and_decode(folds, template, config, pool=pool)()
+    order: _start_train_and_decode's collector, called at once."""
+    return _start_train_and_decode(folds, template, config, pool=pool)()
 
 
-def start_train_and_decode(
+def _start_train_and_decode(
     folds: Sequence[Sequence[Sequence[TokenRecord]]],
     template: Template,
     config: TrainConfig | None = None,

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .crf import TrainConfig, start_train_and_decode, train_and_decode
+from .crf import TrainConfig, _start_train_and_decode, train_and_decode
 from .errors import InputError, ParseError, check_int
 from .evaluation import score
 from .features import Sentence
@@ -143,21 +143,20 @@ def evaluate_fitness(
     folds: Sequence[Sequence[Sentence]],
     train_config: TrainConfig,
     *,
-    pool: Executor | None = None,
     started: Callable[[], list[list[list[str]]]] | None = None,
 ) -> float:
     """Mean span F over k held-out folds; the all-zero chromosome is 0.0
-    without any training.  A pool fits the folds as train_and_decode says.
-    started, when given, is the collector that start_train_and_decode
-    returned for these bits' template, folds and config, and its labels are
-    scored in place of a new cross-validation: run_ga starts the next
-    chromosome's fits before it collects this one's."""
+    without any training.  started, when given, is the collector that
+    crf._start_train_and_decode returned for these bits' template, folds
+    and config, and its labels are scored in place of a new
+    cross-validation: run_ga starts the next chromosome's fits before it
+    collects this one's."""
     template = chromosome_to_template(bits, catalogue)  # checks the length
     if not any(bits):
         return 0.0
     if not _partitions(folds, corpus):
         raise InputError("folds must partition the corpus")
-    decoded = started() if started else train_and_decode(folds, template, train_config, pool=pool)
+    decoded = started() if started else train_and_decode(folds, template, train_config)
     fold_scores = [
         score([[record.label for record in s] for s in fold], predicted, mode="span").f_measure
         for fold, predicted in zip(folds, decoded)
@@ -286,7 +285,7 @@ def run_ga(
         def start(bits: tuple[int, ...]) -> Callable[[], list[list[list[str]]]]:
             try:
                 template = chromosome_to_template(bits, catalogue)
-                return start_train_and_decode(folds, template, train_config, pool=fold_pool)
+                return _start_train_and_decode(folds, template, train_config, pool=fold_pool)
             except Exception as error:  # raised in population order, by its own evaluation
                 return functools.partial(_raise, error)
 
@@ -296,7 +295,7 @@ def run_ga(
             for i, bits in enumerate(todo):
                 ahead = start(todo[i + 1]) if i + 1 < len(todo) else None
                 memo[bits] = evaluate_fitness(
-                    bits, corpus, catalogue, folds, train_config, pool=fold_pool, started=started
+                    bits, corpus, catalogue, folds, train_config, started=started
                 )
                 started = ahead
             pool = [replace(c, fitness=memo[c.bits]) for c in population]
