@@ -222,9 +222,9 @@ def _cmd_tag(args: argparse.Namespace, config: RunConfig) -> int:
     _require(config, "model", "out")
     model = load_model(config.model)
     corpus = read_column_file(args.data, expect_labels=False)
-    tagged = [
+    tagged = [  # the read rows' columns, relabelled from LABELS
         tuple(
-            TokenRecord(columns=record.columns, label=label)
+            TokenRecord._of_clean(record.columns, label)
             for record, label in zip(sentence, labels)
         )
         for sentence, labels in zip(corpus, decode_sentences(model, corpus.sentences))

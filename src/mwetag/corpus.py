@@ -105,8 +105,8 @@ def read_column_file(source: str | Path | IO[str], expect_labels: bool = True) -
                     line=lineno,
                 )
             label = fields[NUM_COLUMNS] if expect_labels else "O"
-            try:
-                rows.append(TokenRecord(tuple(fields[:NUM_COLUMNS]), label=label))
+            try:  # split fields are non-empty and free of whitespace
+                rows.append(TokenRecord._of_clean(tuple(fields[:NUM_COLUMNS]), label))
             except InputError as exc:
                 raise ParseError(str(exc), line=lineno) from None
         sentences.append(tuple(rows))
@@ -144,7 +144,7 @@ def read_raw(source: str | Path | IO[str]) -> list[list[tuple[str, str, str]]]:
             label = fields[2].strip() if len(fields) == 3 else "O"
             if not word or not pos:
                 raise ParseError("word and pos must be non-empty", line=lineno)
-            if any(ch.isspace() for ch in word) or any(ch.isspace() for ch in pos):
+            if word.split() != [word] or pos.split() != [pos]:
                 raise ParseError("word and pos cannot contain whitespace", line=lineno)
             if label not in LABELS:
                 raise ParseError(f"label {label!r} not in {LABELS}", line=lineno)

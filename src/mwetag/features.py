@@ -7,6 +7,7 @@ the gene catalogue, so the indices below are the single source of truth.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -47,15 +48,36 @@ class TokenRecord:
     label: str = "O"
 
     def __post_init__(self) -> None:
-        if len(self.columns) != NUM_COLUMNS:
-            raise InputError(
-                f"token row needs {NUM_COLUMNS} feature columns, got {len(self.columns)}"
-            )
-        if self.label not in LABELS:
-            raise InputError(f"label {self.label!r} not in {LABELS}")
+        _check_shape(self.columns, self.label)
         if " ".join(self.columns).split() != list(self.columns):
-            col, value = next((i, v) for i, v in enumerate(self.columns, 1) if v.split() != [v])
-            raise InputError(f"column {col} {value!r} is empty or holds whitespace")
+            for col in range(NUM_COLUMNS):
+                _check_column(self.columns, col)
+
+    @classmethod
+    def _of_clean(cls, columns: tuple[str, ...], label: str = "O") -> TokenRecord:
+        """A row whose caller has already proven every column non-empty and
+        free of whitespace: only the column count and the label are checked.
+        The row equals, hashes and pickles like ``TokenRecord(columns, label)``."""
+        _check_shape(columns, label)
+        record = object.__new__(cls)
+        # as the frozen __init__ sets them; touching __dict__ instead would
+        # give each row its own dict, 64 bytes more than the shared layout
+        object.__setattr__(record, "columns", columns)
+        object.__setattr__(record, "label", label)
+        return record
+
+
+def _check_shape(columns: tuple[str, ...], label: str) -> None:
+    if len(columns) != NUM_COLUMNS:
+        raise InputError(f"token row needs {NUM_COLUMNS} feature columns, got {len(columns)}")
+    if label not in LABELS:
+        raise InputError(f"label {label!r} not in {LABELS}")
+
+
+def _check_column(columns: tuple[str, ...], col: int) -> None:
+    value = columns[col]
+    if value.split() != [value]:
+        raise InputError(f"column {col + 1} {value!r} is empty or holds whitespace")
 
 
 Sentence = tuple[TokenRecord, ...]
@@ -103,9 +125,18 @@ def frequency_bin(count: int) -> int:
     return int(count >= 100)
 
 
+# For str patterns \d is Unicode category Nd, the set str.isdecimal accepts.
+_DIGIT = re.compile(r"\d")
+
+
 def digit_flag(word: str) -> int:
     """1 when any codepoint is a decimal digit, in any script."""
-    return int(any(ch.isdecimal() for ch in word))
+    return int(_DIGIT.search(word) is not None)
+
+
+_FLAG = ("0", "1")  # a 0/1 flag or bool as its column string
+# The ABSENT padding after n filled suffix slots, for n = 0 .. SUFFIX_SLOTS.
+_PADDING = tuple((ABSENT,) * (SUFFIX_SLOTS - n) for n in range(SUFFIX_SLOTS + 1))
 
 
 def build_token_record(
@@ -129,27 +160,32 @@ def build_token_record(
     result = stem(word, lexicon, min_stem)
     word = result.original
 
-    slots = list(result.stripped_suffixes[:SUFFIX_SLOTS])
-    slots += [ABSENT] * (SUFFIX_SLOTS - len(slots))
-    suffix_count = len(result.stripped_suffixes[:SUFFIX_SLOTS])
+    suffixes = result.stripped_suffixes[:SUFFIX_SLOTS]
     prefix = result.stripped_prefixes[0] if result.stripped_prefixes else ABSENT
 
     columns = (
         word,
         result.stem,
-        *slots,
-        str(int(suffix_count > 0)),
-        str(suffix_count),
+        *suffixes,
+        *_PADDING[len(suffixes)],
+        _FLAG[len(suffixes) > 0],
+        str(len(suffixes)),
         prefix,
-        str(int(prefix != ABSENT)),
-        str(digit_flag(word)),
-        str(int(prev_word is not None and prev_word in gazetteer.salutations)),
-        str(int(next_word is not None and next_word in gazetteer.followups)),
-        str(frequency_bin(frequencies.get(word, 0))),
-        str(length_flag(word)),
+        _FLAG[prefix != ABSENT],
+        _FLAG[digit_flag(word)],
+        _FLAG[prev_word is not None and prev_word in gazetteer.salutations],
+        _FLAG[next_word is not None and next_word in gazetteer.followups],
+        _FLAG[frequency_bin(frequencies.get(word, 0))],
+        _FLAG[length_flag(word)],
         pos,
     )
-    return TokenRecord(columns=columns, label=label)
+    record = TokenRecord._of_clean(columns, label)
+    # Only the word and pos come from outside: every other column is a
+    # substring of the word, a checked affix entry, or a digit string.
+    # They are checked after the label, in the order TokenRecord(...) checks.
+    _check_column(columns, COL_WORD)
+    _check_column(columns, COL_POS)
+    return record
 
 
 def encode_corpus(

@@ -3,8 +3,9 @@
 A word is stemmed by one prefix pass followed by one suffix pass.  Each pass
 removes the affix that a top-to-bottom walk of the affix list would find
 first at the current stem's edge, then rescans from the top of the list; the
-pass ends when a full scan removes nothing.  A scan looks up the edge of each
-affix length once instead of walking the list.  Suffixes are cut by length
+pass ends when a full scan removes nothing.  A scan looks up the edge once
+at each length of the affixes that share its outermost character, instead of
+walking the list.  Suffixes are cut by length
 from the right edge, never by searching for the first occurrence inside the
 word.
 """
@@ -42,18 +43,24 @@ class AffixLexicon:
                 dupes = sorted({e for e in normalized if normalized.count(e) > 1})
                 raise ConfigError(f"duplicate {name} entries: {', '.join(dupes)}")
             object.__setattr__(self, name + "es", normalized)
+            outer = 0 if name == "prefix" else -1
+            lengths: dict[str, set[int]] = {}
+            for a in normalized:
+                lengths.setdefault(a[outer], set()).add(len(a))
             edges.append(_Edges(
-                {a: i for i, a in enumerate(normalized)}, sorted({len(a) for a in normalized})
+                {a: i for i, a in enumerate(normalized)},
+                {ch: sorted(ks) for ch, ks in lengths.items()},
             ))
         object.__setattr__(self, "_edges", tuple(edges))
 
 
 class _Edges(NamedTuple):
-    """An affix list as _strip reads it: each affix's list index, and the
-    distinct affix lengths, shortest first."""
+    """An affix list as _strip reads it: each affix's list index, and for
+    each outermost character (first for prefixes, last for suffixes) the
+    distinct lengths of the affixes that have it, shortest first."""
 
     rank: dict[str, int]
-    lengths: list[int]
+    lengths: dict[str, list[int]]
 
 
 @dataclass(frozen=True)
@@ -148,13 +155,14 @@ def _strip(
     stem: str, edges: _Edges, min_stem: int, leading: bool
 ) -> tuple[str, tuple[str, ...]]:
     """One pass over one edge of a normalized word: (stem, removed in removal order).
-    Each scan looks up the stem's edge at every affix length that leaves
-    min_stem characters and removes the match with the lowest list index:
-    the affix a walk down the list would find first."""
+    Each scan looks up the stem's edge at every length of the affixes that
+    share its outermost character and leave min_stem characters, and
+    removes the match with the lowest list index: the affix a walk down the
+    list would find first.  No other affix can match that edge."""
     removed: list[str] = []
     while True:
         found = None  # (list index, affix) of the best match so far
-        for k in edges.lengths:
+        for k in edges.lengths.get(stem[0] if leading else stem[-1], ()):
             if len(stem) - k < min_stem:
                 break
             edge = stem[:k] if leading else stem[len(stem) - k :]

@@ -6,7 +6,8 @@ Run from the repository root:
 
 It encodes tests/data/synthetic_raw.txt with its test affix lists, trains
 with the template T = U00:%x[0,0] ... U03:%x[0,3] plus B and with T alone,
-tags the encoded file with each model, and runs ga-search --generations 2
+tags the encoded file with each model, writes the eval --out CSV report of
+each tagged file against the encoded one, and runs ga-search --generations 2
 and ga-search --folds 2 --generations 1, all with default settings
 otherwise, in a temporary directory.  Each output's first 12 hex digits of
 sha256 are printed to stdout, one per line; train's stop report goes to
@@ -48,12 +49,16 @@ def main() -> None:
         )
         outputs = {"enc.col": enc}
         for name, body in (("T+B", T + "B\n"), ("T", T)):
-            template, model, tagged = (out / f"{name}.{ext}" for ext in ("tpl", "model", "tag"))
+            template, model, tagged, report = (
+                out / f"{name}.{ext}" for ext in ("tpl", "model", "tag", "csv")
+            )
             template.write_text(body, encoding="utf-8")
             run("train", enc, "--template", str(template), "--model", str(model))
             run("tag", enc, "--model", str(model), "--out", str(tagged))
+            run("eval", enc, str(tagged), "--out", str(report))
             outputs[f"train model {name}"] = str(model)
             outputs[f"tag {name}"] = str(tagged)
+            outputs[f"eval {name}"] = str(report)
         for name, options in (
             ("", ("--generations", "2")),
             (" --folds 2", ("--folds", "2", "--generations", "1")),

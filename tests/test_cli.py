@@ -15,6 +15,7 @@ from mwetag.cli import RunConfig, dispatch, load_run_config
 from mwetag.corpus import load_model, read_column_file
 from mwetag.crf import CrfModel, TrainConfig
 from mwetag.errors import ConfigError
+from mwetag.features import TokenRecord
 from mwetag.ga import GaConfig, crossover
 from tests import make_fixtures
 from tests.conftest import NOT_LINE_ENDS
@@ -159,6 +160,29 @@ def test_train_tag_eval_pipeline(tmp_path, trained_model, encoded_corpus, capsys
     assert header == "mode,correct,gold,predicted,P,R,F"
     f_value = float(row.split(",")[-1])
     assert f_value > 80.0  # three informative features fit the training data
+
+
+def test_encode_tag_eval_run_no_full_row_check(tmp_path, trained_model, monkeypatch, capsys):
+    """Each string from outside is checked once before its row is built:
+    encode checks the word and pos, and the readers split fields, so no row
+    on the encode, tag and eval path runs TokenRecord's full column check.
+    A public TokenRecord(...) runs it once."""
+    checks = []
+    full_check = TokenRecord.__post_init__
+
+    def counted(record):
+        checks.append(record)
+        full_check(record)
+
+    monkeypatch.setattr(TokenRecord, "__post_init__", counted)
+    encoded, tagged = tmp_path / "encoded.col", tmp_path / "tagged.col"
+    assert dispatch(["encode", *AFFIX_FLAGS, "--out", str(encoded), RAW]) == 0
+    assert dispatch(["tag", str(encoded), "--model", str(trained_model), "--out", str(tagged)]) == 0
+    assert dispatch(["eval", str(encoded), str(tagged)]) == 0
+    assert "f-measure" in capsys.readouterr().out
+    assert checks == []
+    TokenRecord(read_column_file(tagged)[0][0].columns)
+    assert len(checks) == 1
 
 
 def test_tag_accepts_unlabeled_input(tmp_path, trained_model, encoded_corpus):

@@ -122,6 +122,17 @@ def test_column_file_bad_label():
     assert "line 1" in str(exc.value)
 
 
+@pytest.mark.parametrize("space", ["\t", "\u00a0", "\u2028", "\u3000", "\x1c"],
+                         ids=["tab", "nbsp", "ls", "ideo", "fs"])
+def test_column_file_whitespace_inside_a_field_splits_it(space):
+    """Rows are built from split fields without a second whitespace check:
+    whitespace inside a field makes one field more, refused at its line."""
+    good = " ".join(["w"] + ["0"] * 20 + ["NN", "O"])
+    row = " ".join([f"w{space}x"] + ["0"] * 20 + ["NN", "O"])
+    with pytest.raises(ParseError, match="^line 3: expected 23 fields, got 24$"):
+        read_column_file(io.StringIO(f"{good}\n\n{row}\n"))
+
+
 @pytest.mark.parametrize("end", NOT_LINE_ENDS.values(), ids=list(NOT_LINE_ENDS))
 def test_raw_and_column_files_break_lines_only_at_newlines(end):
     raw = f"w\tNN{end}\nx\tNN\n"

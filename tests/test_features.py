@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
+import pickle
+import sys
+import tracemalloc
 import unicodedata
 
 import pytest
@@ -229,6 +233,66 @@ def test_encode_corpus_reports_empty_word_position():
     raw = [[("fine", "NN", "O")], [("fine", "NN", "O"), ("two words", "NN", "O")]]
     with pytest.raises(InputError, match="sentence 2, token 2: column 1 'two words'"):
         encode_corpus(raw, LEXICON, GAZETTEER)
+
+
+# Whitespace by str.split that is not an ASCII space: tab, no-break space,
+# line separator, ideographic space and the file separator \x1c.
+INNER_SPACES = {"tab": "\t", "nbsp": "\u00a0", "ls": "\u2028", "ideo": "\u3000", "fs": "\x1c"}
+
+
+@pytest.mark.parametrize("space", INNER_SPACES.values(), ids=list(INNER_SPACES))
+def test_encode_corpus_refuses_whitespace_in_word_or_pos_at_its_column(space):
+    """encode_corpus checks the word and the pos itself, since the row it
+    builds skips the full column check; the message is the row's own."""
+    word, pos = f"wal{space}ked", f"N{space}N"
+    for triple, col, value in (((word, "NN", "O"), 1, word), (("walked", pos, "O"), 22, pos)):
+        with pytest.raises(InputError) as exc:
+            encode_corpus([[triple]], LEXICON, GAZETTEER)
+        assert str(exc.value) == (
+            f"sentence 1, token 1: column {col} {value!r} is empty or holds whitespace"
+        )
+        columns = list(build("walked").columns)
+        columns[col - 1] = value
+        with pytest.raises(InputError) as public:
+            TokenRecord(tuple(columns))
+        assert str(exc.value) == f"sentence 1, token 1: {public.value}"
+    with pytest.raises(InputError, match="^sentence 1, token 1: column 1 "):  # word first
+        encode_corpus([[(word, pos, "O")]], LEXICON, GAZETTEER)
+    with pytest.raises(InputError, match="^sentence 1, token 1: label 'Q' "):  # label before
+        encode_corpus([[(word, pos, "Q")]], LEXICON, GAZETTEER)
+
+
+def test_digit_flag_is_isdecimal_on_every_code_point():
+    chars = [chr(cp) for cp in range(sys.maxunicode + 1)]
+    assert [digit_flag(ch) for ch in chars] == [int(ch.isdecimal()) for ch in chars]
+    for word in ("ab৭", "x²y", "IV", "a١b", "Ⅻ", "½", "w0rd", "৭৫"):
+        assert digit_flag(word) == int(any(ch.isdecimal() for ch in word)), word
+
+
+def test_row_built_from_clean_columns_is_a_token_record():
+    checked = TokenRecord(build("unwalked").columns, "B-MWE")
+    clean = TokenRecord._of_clean(checked.columns, "B-MWE")
+    assert type(clean) is TokenRecord and vars(clean) == vars(checked)
+    assert clean == checked and hash(clean) == hash(checked) and repr(clean) == repr(checked)
+    assert pickle.dumps(clean) == pickle.dumps(checked)
+    assert pickle.loads(pickle.dumps(clean)) == checked
+    assert clean != TokenRecord._of_clean(checked.columns)  # label "O"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        clean.label = "O"
+    # and takes no more memory: a row whose __dict__ was touched holds a dict of its own
+    sizes = []
+    for build_row in (TokenRecord, TokenRecord._of_clean):
+        tracemalloc.start()
+        rows = [build_row(checked.columns, "O") for _ in range(1000)]
+        sizes.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.stop()
+        del rows
+    assert sizes[1] <= sizes[0]
+    # the count and the label are still checked, with the row's messages
+    with pytest.raises(InputError, match="needs 22 feature columns, got 5"):
+        TokenRecord._of_clean(("a",) * 5)
+    with pytest.raises(InputError, match="label 'Q' not in"):
+        TokenRecord._of_clean(checked.columns, "Q")
 
 
 def test_encode_corpus_nfd_and_nfc_input_encode_alike():
