@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import IO, Iterator, Sequence
 
 from .crf import CrfModel, LabelSet
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, parse_count
 from .features import LABELS, NUM_COLUMNS, Sentence, TokenRecord
 from .stemmer import read_text, split_lines
 from .templates import parse_template, serialize_template
@@ -204,16 +204,6 @@ def _finite(text: str, what: str, line: int) -> float:
     return value
 
 
-def _count(text: str, what: str, line: int) -> int:
-    """A count in ASCII digits: int() alone would also take "²"-like digits."""
-    if text.isascii() and text.isdigit():
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
-            pass
-    raise ParseError(f"bad {what} count {text!r}", line=line)
-
-
 def load_model(source: str | Path | IO[str]) -> CrfModel:
     lines = split_lines(read_text(source))
 
@@ -238,13 +228,13 @@ def load_model(source: str | Path | IO[str]) -> CrfModel:
     if header(2, "labels") != " ".join(LABELS):
         raise ParseError(f"expected 'labels {' '.join(LABELS)}'", line=3)
 
-    n_template = _count(header(3, "template"), "template", line=4)
+    n_template = parse_count(header(3, "template"), "template", line=4)
     body = [need(4 + i, "template body") for i in range(n_template)]
     # blank lines in front keep parse_template's line numbers the file's
     template = parse_template("\n" * 4 + "\n".join(body))
 
     at = 4 + n_template
-    n_weights = _count(header(at, "weights"), "weights", line=at + 1)
+    n_weights = parse_count(header(at, "weights"), "weights", line=at + 1)
     weights: dict[tuple[str, str], float] = {}
     prefixes = tuple(f"{macro.id}:" for macro in template.macros)
     for lineno in range(at + 2, at + 2 + n_weights):

@@ -220,7 +220,7 @@ def decode_sentences(
         while stop < len(order) and (stop + 1 - start) * lengths[order[stop]] <= _TAG_CELLS:
             stop += 1
         run = order[start:stop]
-        comp, wu, wt = _bind(model, [sentences[i] for i in run])
+        comp, _, wu, wt = _bind(model, [sentences[i] for i in run])
         for i, path in zip(run, _viterbi_batch(_unary_batch(wu, comp), wt, comp.mask)):
             labels[i] = [LABELS[j] for j in path]
         start = stop
@@ -240,7 +240,7 @@ def marginals(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _Compiled:
-    vocab: dict[str, int] | range  # feature string -> row, numbered 0..n-1; or only the rows
+    n_feats: int  # feature rows, numbered 0..n_feats-1
     feats: np.ndarray  # (N, Tmax, M) int32 feature rows, pad positions zeroed
     gold: np.ndarray  # (N, Tmax) int32 label indices, pad positions zeroed
     mask: np.ndarray  # (N, Tmax) bool; sentences are left-padded, so all end at Tmax - 1
@@ -259,7 +259,7 @@ class _Compiled:
         weights; a label pair is real when its first token is."""
         L, valid = len(LABELS), self.mask[:, :-1]
         index = self.feats[self.mask] * L + self.gold[self.mask][:, None]
-        gu = np.bincount(index.ravel(), minlength=len(self.vocab) * L)
+        gu = np.bincount(index.ravel(), minlength=self.n_feats * L)
         pairs = self.gold[:, :-1][valid] * L + self.gold[:, 1:][valid]
         gt = np.bincount(pairs, minlength=L * L)
         return gu.reshape(-1, L).astype(float), gt.reshape(L, L)
@@ -271,13 +271,13 @@ class _Compiled:
         return float((gold_u * wu).sum() + (gold_t * wt).sum())
 
     def sentences(self, rows: np.ndarray) -> _Compiled:
-        """The sentences a boolean mask picks, sharing vocab and the feature
-        rows, cut to the longest one picked: a fold compiled with the rest."""
+        """The sentences a boolean mask picks, sharing the feature rows, cut
+        to the longest one picked: a fold compiled with the rest."""
         mask = self.mask[rows]
         if not len(mask):
             raise InputError("expected at least one sentence, got none")
         at = np.s_[rows, mask.shape[1] - mask.sum(axis=1).max() :]  # drop shared padding
-        return _Compiled(self.vocab, self.feats[at], self.gold[at], self.mask[at], self.bigram)
+        return _Compiled(self.n_feats, self.feats[at], self.gold[at], self.mask[at], self.bigram)
 
 
 def _frame(data: Sequence[Sequence[TokenRecord]]) -> tuple[np.ndarray, np.ndarray]:
@@ -356,14 +356,14 @@ def _feature_keys(
 
 
 def _compile_columns(
-    template: Template, data: Sequence[Sequence[TokenRecord]], spell: bool = True
-) -> _Compiled:
+    template: Template, data: Sequence[Sequence[TokenRecord]]
+) -> tuple[_Compiled, Callable[[], list[str]]]:
     """Compile a batch from _feature_keys, with no string per token and
     macro: every position gets the feature strings expand_macros spells.
     Rows are numbered in key order over the keys some token reaches, so
-    each macro's rows form one block, in macro order; each feature is
-    spelled once, for vocab.  Unspelled, vocab is only the range of rows,
-    all that a fit reads."""
+    each macro's rows form one block, in macro order.  Also a function that
+    spells each row's feature string, in row order, once per call; a fit
+    reads only the row count, so cross-validation never calls it."""
     mask, gold = _frame(data)
     keys, spaces = _feature_keys(template, data, mask)
     sizes = [len(values) for values in spaces]
@@ -371,13 +371,13 @@ def _compile_columns(
     used[keys] = True
     feats = np.zeros((*mask.shape, len(template.macros)), dtype=np.int32)
     feats[mask] = (np.cumsum(used, dtype=np.int32) - 1)[keys]
-    vocab: dict[str, int] | range = range(int(used.sum()))
-    if spell:
+
+    def names() -> list[str]:
         prefixes = np.array([f"{macro.id}:" for macro in template.macros], dtype=object)
-        names = np.array([s for values in spaces for s in values], dtype=object)
-        spelled = np.repeat(prefixes, sizes)[used] + names[used]
-        vocab = dict(zip(spelled.tolist(), vocab))
-    return _Compiled(vocab, feats, gold, mask, bigram=template.include_label_bigram)
+        strings = np.array([s for values in spaces for s in values], dtype=object)
+        return (np.repeat(prefixes, sizes)[used] + strings[used]).tolist()
+
+    return _Compiled(int(used.sum()), feats, gold, mask, template.include_label_bigram), names
 
 
 def _transitions(model: CrfModel) -> np.ndarray:
@@ -389,14 +389,14 @@ def _transitions(model: CrfModel) -> np.ndarray:
 
 def _bind(
     model: CrfModel, data: Sequence[Sequence[TokenRecord]]
-) -> tuple[_Compiled, np.ndarray, np.ndarray]:
+) -> tuple[_Compiled, list[str], np.ndarray, np.ndarray]:
     """Compile data and look the model's weights up once per feature string:
-    unary rows in vocab order, zero wherever the weight map has no entry,
-    and the transition matrix."""
-    comp = _compile_columns(model.template, data)
-    get = model.weights.get
-    wu = np.array([[get((s, lab), 0.0) for lab in LABELS] for s in comp.vocab], dtype=float)
-    return comp, wu.reshape(len(comp.vocab), len(LABELS)), _transitions(model)
+    the rows' feature strings, unary rows in that order, zero wherever the
+    weight map has no entry, and the transition matrix."""
+    comp, spell = _compile_columns(model.template, data)
+    names, get = spell(), model.weights.get
+    wu = np.array([[get((s, lab), 0.0) for lab in LABELS] for s in names], dtype=float)
+    return comp, names, wu.reshape(comp.n_feats, len(LABELS)), _transitions(model)
 
 
 def _unary_batch(wu: np.ndarray, comp: _Compiled) -> np.ndarray:
@@ -554,7 +554,7 @@ def _count_gradient(
     """(empirical - expected) counts of the unary and transition weights at
     unary scores e: the compiled gold counts, less the node marginals
     scattered by np.bincount once per label and the summed edge marginals."""
-    L, n_feats, n_macros = len(LABELS), len(comp.vocab), comp.feats.shape[2]
+    L, n_feats, n_macros = len(LABELS), comp.n_feats, comp.feats.shape[2]
     node, edge = _posteriors(e, wt, comp.mask, fwd, summed=True)
     node = node[comp.mask]
     gold_u, gold_t = comp.gold_counts
@@ -569,7 +569,7 @@ def _fit(comp: _Compiled, config: TrainConfig) -> tuple[np.ndarray, np.ndarray, 
     """Fit a batch's weights by gradient ascent with a backtracking line
     search from zero init, and report why it stopped.  The transitions
     without a B line, and the row of a feature the batch never reaches, get
-    zero gradient and stay zero.  Of the vocab it reads only the length.
+    zero gradient and stay zero.
 
     Unary scores are linear in the weights, so each iteration gathers the
     gradient's scores eg once and scores a trial step s as e + s * eg.  The
@@ -577,7 +577,7 @@ def _fit(comp: _Compiled, config: TrainConfig) -> tuple[np.ndarray, np.ndarray, 
     quadratic |w|^2 + 2s<w, g> + s^2 |g|^2, so a trial's objective is a
     quadratic in s less sum log Z; the accepted step's scores and forward
     pass carry into the next gradient."""
-    wu = np.zeros((len(comp.vocab), len(LABELS)))
+    wu = np.zeros((comp.n_feats, len(LABELS)))
     wt = np.zeros((len(LABELS), len(LABELS)))
     rho2 = config.rho**2
 
@@ -627,7 +627,7 @@ def regularized_objective(
 ) -> float:
     """Conditional log-likelihood of data minus sum(w^2)/(2*rho^2) over the
     model's stored weights."""
-    comp, wu, wt = _bind(model, data)
+    comp, _, wu, wt = _bind(model, data)
     log_z = _forward(_unary_batch(wu, comp), wt, comp.mask).log_z
     ll = comp.gold_score(wu, wt) - float(log_z.sum())
     penalty = sum(w * w for w in model.weights.values()) / (2.0 * model.rho**2)
@@ -639,10 +639,10 @@ def gradient(
 ) -> dict[WeightKey, float]:
     """Partial derivatives of regularized_objective with respect to every
     weight touched by the data or present in the model."""
-    comp, wu, wt = _bind(model, data)
+    comp, names, wu, wt = _bind(model, data)
     gu, gt = _count_gradient(comp, _unary_batch(wu, comp), wt)
     rho2 = model.rho**2
-    out = _arrays_to_weights(comp, gu - wu / rho2, gt - wt / rho2)
+    out = _arrays_to_weights(comp, names, gu - wu / rho2, gt - wt / rho2)
     for key, w in model.weights.items():
         if key not in out:
             out[key] = -w / rho2
@@ -650,12 +650,12 @@ def gradient(
 
 
 def _arrays_to_weights(
-    comp: _Compiled, wu: np.ndarray, wt: np.ndarray
+    comp: _Compiled, names: list[str], wu: np.ndarray, wt: np.ndarray
 ) -> dict[WeightKey, float]:
-    """The weight map of (wu, wt): each feature's labels in vocab order, then
+    """The weight map of (wu, wt): each feature's labels in row order, then
     every label pair when the template has a B line."""
     weights = {
-        (s, lab): w for s, row in zip(comp.vocab, wu.tolist()) for lab, w in zip(LABELS, row)
+        (s, lab): w for s, row in zip(names, wu.tolist()) for lab, w in zip(LABELS, row)
     }
     if comp.bigram:
         weights.update(
@@ -672,10 +672,10 @@ def train(
     """Fit weights on labeled sentences.  Deterministic: zero initialization
     and a fixed line-search policy, no randomness anywhere."""
     config = config or TrainConfig()
-    comp = _compile_columns(template, data)
+    comp, names = _compile_columns(template, data)
     wu, wt, report = _fit(comp, config)
     _record(report)
-    weights = _arrays_to_weights(comp, wu, wt)
+    weights = _arrays_to_weights(comp, names(), wu, wt)
     return CrfModel(label_set=LabelSet(), template=template, weights=weights, rho=config.rho)
 
 
@@ -683,18 +683,17 @@ def train_and_decode(
     folds: Sequence[Sequence[Sequence[TokenRecord]]],
     template: Template,
     config: TrainConfig | None = None,
-    *,
-    pool: Executor | None = None,
 ) -> list[list[list[str]]]:
     """Each fold's labels, decoded after fitting on the other folds in fold
-    order: _start_train_and_decode's collector, called at once."""
-    return _start_train_and_decode(folds, template, config, pool=pool)()
+    order: _start_train_and_decode's collector, called at once, without a
+    pool.  run_ga is what fits folds on worker processes."""
+    return _start_train_and_decode(folds, template, config or TrainConfig())()
 
 
 def _start_train_and_decode(
     folds: Sequence[Sequence[Sequence[TokenRecord]]],
     template: Template,
-    config: TrainConfig | None = None,
+    config: TrainConfig,
     *,
     pool: Executor | None = None,
 ) -> Callable[[], list[list[list[str]]]]:
@@ -706,9 +705,9 @@ def _start_train_and_decode(
     integer arrays, no feature string; without one, the collector runs them
     here.  The collector records the fits' reports in fold order, and its
     labels and reports are the same either way."""
-    comp = _compile_columns(template, [s for fold in folds for s in fold], spell=False)
+    comp = _compile_columns(template, [s for fold in folds for s in fold])[0]
     fold_of = np.repeat(np.arange(len(folds)), [len(fold) for fold in folds])
-    task = functools.partial(_fit_and_decode_fold, comp, fold_of, config or TrainConfig())
+    task = functools.partial(_fit_and_decode_fold, comp, fold_of, config)
     if pool:
         futures = [pool.submit(task, k) for k in range(len(folds))]
         results = (future.result() for future in futures)

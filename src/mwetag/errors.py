@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer checks, shared across the package."""
 
 from numbers import Integral
 
@@ -31,3 +31,13 @@ def check_int(value: object, name: str) -> None:
     int; bool is not one), so 2.5 fails here and not deep in a loop."""
     if type(value) is not int and (not isinstance(value, Integral) or isinstance(value, bool)):
         raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def parse_count(text: str, what: str, line: int) -> int:
+    """A count in ASCII digits: int() alone would also take "²", "٢", "0_2" or " 3 "."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(f"bad {what} count {text!r}", line=line)

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Sequence
 import numpy as np
 
 from .crf import TrainConfig, _start_train_and_decode, train_and_decode
-from .errors import InputError, ParseError, check_int
+from .errors import InputError, ParseError, check_int, parse_count
 from .evaluation import score
 from .features import Sentence
 from .stemmer import content_lines
@@ -357,8 +357,8 @@ def history_from_csv(text: str) -> list[GenerationRecord]:
         parts = row.split(",")
         if len(parts) != 4:
             raise ParseError(f"expected 4 fields, got {len(parts)}", line=lineno)
+        generation = parse_count(parts[0], "generation", lineno)
         try:
-            generation = int(parts[0])
             best = float(parts[1])
             mean = float(parts[2])
         except ValueError as exc:

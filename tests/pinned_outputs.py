@@ -9,10 +9,13 @@ with the template T = U00:%x[0,0] ... U03:%x[0,3] plus B and with T alone,
 tags the encoded file with each model, writes the eval --out CSV report of
 each tagged file against the encoded one, and runs ga-search --generations 2
 and ga-search --folds 2 --generations 1, all with default settings
-otherwise, in a temporary directory.  Each output's first 12 hex digits of
-sha256 are printed to stdout, one per line; train's stop report goes to
-stderr as the CLI prints it.  Output is deterministic, so a
-change that claims byte-identical outputs must leave every line unchanged.
+otherwise, in a temporary directory.  It then runs ga-search --generations 2
+again with one usable CPU, so that the folds are fitted in this process and
+not on a pool of workers; its two lines must equal the pooled run's.  Each
+output's first 12 hex digits of sha256 are printed to stdout, one per line;
+train's stop report goes to stderr as the CLI prints it.  Output is
+deterministic, so a change that claims byte-identical outputs must leave
+every line unchanged.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+from mwetag import ga
 from mwetag.cli import dispatch
 
 DATA = Path(__file__).parent / "data"
@@ -59,12 +64,14 @@ def main() -> None:
             outputs[f"train model {name}"] = str(model)
             outputs[f"tag {name}"] = str(tagged)
             outputs[f"eval {name}"] = str(report)
-        for name, options in (
-            ("", ("--generations", "2")),
-            (" --folds 2", ("--folds", "2", "--generations", "1")),
+        for name, options, cpus in (
+            ("", ("--generations", "2"), ga._usable_cpus()),
+            (" --folds 2", ("--folds", "2", "--generations", "1"), ga._usable_cpus()),
+            (" serial", ("--generations", "2"), 1),
         ):
             template, history = str(out / f"ga{name}.tpl"), str(out / f"ga{name}.csv")
-            run("ga-search", enc, "--out", template, "--history", history, *options)
+            with mock.patch.object(ga, "_usable_cpus", return_value=cpus):
+                run("ga-search", enc, "--out", template, "--history", history, *options)
             outputs[f"ga-search{name} template"] = template
             outputs[f"ga-search{name} history"] = history
         for name, path in outputs.items():

@@ -625,7 +625,7 @@ def test_one_gather_per_iteration_and_no_forward_pass_rerun(monkeypatch):
     monkeypatch.setattr(crf, "_forward", counted_forward)
     data = make_separable_sentences(12, seed=9)
     config = TrainConfig(rho=10.0, max_iterations=40)
-    *_, report = _fit(_compile_columns(WORD_POS_TEMPLATE, data), config)
+    *_, report = _fit(_compile_columns(WORD_POS_TEMPLATE, data)[0], config)
     assert report.iterations == 40
     assert calls["gather"] <= report.iterations + 1
     assert 0 < calls["forward"] <= report.evaluations
@@ -732,8 +732,8 @@ def reference_count_gradient(comp, wu, wt):
 def reference_fit(data, template, config):
     """The parent's training loop, which gathered unary scores and ran the
     forward pass afresh for every objective and every gradient, verbatim."""
-    comp = _compile(template, data)
-    wu = np.zeros((len(comp.vocab), len(LABELS)))
+    comp, names = _compile(template, data)
+    wu = np.zeros((comp.n_feats, len(LABELS)))
     wt = np.zeros((len(LABELS), len(LABELS)))
     rho2 = config.rho**2
 
@@ -767,7 +767,7 @@ def reference_fit(data, template, config):
         if s == 0.0:
             break
         wu, wt, obj, step = wu_new, wt_new, obj_new, s
-    return comp, wu, wt
+    return names(), wu, wt
 
 
 def random_ragged_batch(rng, n_words=6):
@@ -810,12 +810,12 @@ def test_fit_matches_the_reference_training_loop(seed, monkeypatch):
         )
         calls.update(dict.fromkeys(calls, 0))
         want, want_wu, want_wt = reference_fit(data, template, config)
-        comp = _compile_columns(template, data)
+        comp, names = _compile_columns(template, data)
         wu, wt, report = _fit(comp, config)
         gradients = report.iterations + (report.stop_reason != "max_iterations")
         assert (gradients, report.evaluations) == tuple(calls.values())
-        assert comp.vocab.keys() == want.vocab.keys()
-        rows = [want.vocab[s] for s in comp.vocab]
+        assert sorted(names()) == sorted(want)
+        rows = [want.index(s) for s in names()]
         np.testing.assert_allclose(wu, want_wu[rows], rtol=0, atol=1e-10)
         np.testing.assert_allclose(wt, want_wt, rtol=0, atol=1e-10)
 
@@ -828,9 +828,9 @@ def test_gradient_matches_the_reference_scatter(seed):
         data = random_ragged_batch(rng)
         fitted = train(data, template, config=TrainConfig(rho=3.0, max_iterations=5))
         model = CrfModel(LABELS3, template, fitted.weights, rho=3.0)
-        comp, wu, wt = _bind(model, data)
+        comp, names, wu, wt = _bind(model, data)
         gu, gt = reference_count_gradient(comp, wu, wt)
-        want = _arrays_to_weights(comp, gu - wu / 9.0, gt - wt / 9.0)
+        want = _arrays_to_weights(comp, names, gu - wu / 9.0, gt - wt / 9.0)
         got = gradient(model, data)
         assert got.keys() == want.keys()
         for key, value in want.items():
@@ -873,8 +873,8 @@ def test_scaled_pass_agrees_with_the_log_space_reference(seed, bigram):
         np.testing.assert_allclose(total, want_edge.sum(axis=(0, 1)), rtol=0, atol=1e-12)
     template = WORD_POS_TEMPLATE if bigram else WORD_POS_UNIGRAM
     for _ in range(5):
-        comp = _compile_columns(template, random_ragged_batch(rng))
-        wu = rng.normal(size=(len(comp.vocab), 3))
+        comp, _ = _compile_columns(template, random_ragged_batch(rng))
+        wu = rng.normal(size=(comp.n_feats, 3))
         wt = rng.normal(size=(3, 3)) if bigram else np.zeros((3, 3))
         gu, gt = crf._count_gradient(comp, _unary_batch(wu, comp), wt)
         want_gu, want_gt = reference_count_gradient(comp, wu, wt)
@@ -898,9 +898,9 @@ def assert_like_the_log_space_reference(model, data):
         want_node, want_edge = reference_posteriors(e, wt, mask)
         np.testing.assert_allclose(node, want_node[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(edge, want_edge[0], rtol=0, atol=1e-12)
-    comp, wu, wt = _bind(model, data)
+    comp, names, wu, wt = _bind(model, data)
     gu, gt = reference_count_gradient(comp, wu, wt)
-    want = _arrays_to_weights(comp, gu - wu / rho2, gt - wt / rho2)
+    want = _arrays_to_weights(comp, names, gu - wu / rho2, gt - wt / rho2)
     got = gradient(model, data)
     assert all(math.isfinite(v) for v in got.values())
     for key, value in want.items():
@@ -986,14 +986,14 @@ def test_per_macro_gather_equals_the_fancy_index_sum(n_macros):
     wu = rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-8, 8, size=(500, 1))
     for shape in ((133, 13), (1, 9)):
         feats = rng.integers(0, len(wu), size=(*shape, n_macros), dtype=np.int32)
-        comp = _Compiled({}, feats, np.zeros(shape, np.int32), np.ones(shape, bool), True)
+        comp = _Compiled(len(wu), feats, np.zeros(shape, np.int32), np.ones(shape, bool), True)
         assert np.array_equal(_unary_batch(wu, comp), wu[feats].sum(axis=2))
 
 
 def _compile(template, data):
     """The string compile, the reference for _compile_columns: every
     position's feature strings, as expand_macros spells them, interned to
-    rows in first-seen order."""
+    rows in first-seen order, and a function that lists them in row order."""
     mask, gold = _frame(data)
     vocab = {}
     feats = np.zeros((*mask.shape, len(template.macros)), dtype=np.int32)
@@ -1002,23 +1002,26 @@ def _compile(template, data):
         for rows in data
         for t in range(len(rows))
     ]
-    return _Compiled(vocab, feats, gold, mask, bigram=template.include_label_bigram)
+    comp = _Compiled(len(vocab), feats, gold, mask, bigram=template.include_label_bigram)
+    return comp, lambda: list(vocab)
 
 
-def spelled(comp):
-    """The feature string of every macro at every real position."""
-    names = np.array(list(comp.vocab), dtype=object)
-    return names[comp.feats[comp.mask]].tolist()
+def spelled(comp, names):
+    """The feature string of every macro at every real position, given the
+    rows' feature strings."""
+    return np.array(names, dtype=object)[comp.feats[comp.mask]].tolist()
 
 
 def assert_same_compile(template, data):
     """Both compiles give every real position the same feature strings and
-    the same vocab as a set (rows may be numbered differently), and the
-    same gold, mask and bigram."""
-    want, got = _compile(template, data), _compile_columns(template, data)
-    assert got.vocab.keys() == want.vocab.keys()
-    assert sorted(got.vocab.values()) == list(range(len(got.vocab)))
-    assert spelled(got) == spelled(want)
+    spell the same rows as a set (rows may be numbered differently), and
+    give the same gold, mask and bigram."""
+    want, want_names = _compile(template, data)
+    got, got_names = _compile_columns(template, data)
+    want_names, got_names = want_names(), got_names()
+    assert sorted(got_names) == sorted(want_names)
+    assert got.n_feats == len(got_names) == want.n_feats
+    assert spelled(got, got_names) == spelled(want, want_names)
     assert got.feats.dtype == want.feats.dtype and got.feats.shape == want.feats.shape
     assert not got.feats[~got.mask].any()
     for name in ("gold", "mask"):
@@ -1074,11 +1077,11 @@ def test_column_compile_equals_the_string_compile(seed):
 def test_a_cell_spelled_like_a_boundary_literal_shares_its_feature():
     template = parse_template("U0:%x[-1,0]\nU1:%x[2,0]\n")
     data = [tuple(make_record(word=w) for w in ("_B-1", "y", "_B+2"))]
-    comp = _compile_columns(template, data)
-    assert spelled(comp) == [
+    comp, names = _compile_columns(template, data)
+    assert spelled(comp, names()) == [
         ["U0:_B-1", "U1:_B+2"], ["U0:_B-1", "U1:_B+1"], ["U0:y", "U1:_B+2"]
     ]
-    assert len(comp.vocab) == 4
+    assert comp.n_feats == 4
     assert_same_compile(template, data)
 
 
@@ -1086,8 +1089,8 @@ def test_a_conjunction_is_its_joined_string():
     """a/b + c and a + b/c join to one string, so they are one feature."""
     template = parse_template("U0:%x[0,0]/%x[0,21]\n")
     data = [(make_record(word="a/b", pos="c"), make_record(word="a", pos="b/c"))]
-    comp = _compile_columns(template, data)
-    assert list(comp.vocab) == ["U0:a/b/c"]
+    comp, names = _compile_columns(template, data)
+    assert names() == ["U0:a/b/c"]
     assert comp.feats[comp.mask].tolist() == [[0], [0]]
     assert_same_compile(template, data)
 
@@ -1101,14 +1104,14 @@ def test_each_macros_training_rows_form_one_block_in_macro_order(seed):
     catalogue = default_catalogue()
     templates = [chromosome_to_template(rng.integers(0, 2, 38), catalogue) for _ in range(6)]
     for template in (*templates, *EDGE_TEMPLATES.values()):
-        comp = _compile_columns(template, edge_batch(rng))
-        names, start = list(comp.vocab), 0
+        comp, spell = _compile_columns(template, edge_batch(rng))
+        names, start = spell(), 0
         for m, macro in enumerate(template.macros):
             rows = np.unique(comp.feats[comp.mask][:, m])
             assert rows.tolist() == list(range(start, start + len(rows))), macro.id
             assert all(names[r].startswith(f"{macro.id}:") for r in rows)
             start += len(rows)
-        assert start == len(names)
+        assert start == len(names) == comp.n_feats
 
 
 def assert_view_is_the_compile_of_its_sentences(template, data, rng):
@@ -1117,16 +1120,17 @@ def assert_view_is_the_compile_of_its_sentences(template, data, rng):
     data = [*data, max(data, key=len) + data[0]]  # the longest, dropped below
     rows = rng.random(len(data)) < 0.6
     rows[-1], rows[int(rng.integers(0, len(data) - 1))] = False, True
-    comp = _compile_columns(template, data)
+    comp, names = _compile_columns(template, data)
     view = comp.sentences(rows)
-    alone = _compile_columns(template, [s for s, keep in zip(data, rows) if keep])
-    assert view.vocab is comp.vocab and view.bigram == alone.bigram
-    assert spelled(view) == spelled(alone)
+    alone, alone_names = _compile_columns(template, [s for s, keep in zip(data, rows) if keep])
+    names, alone_names = names(), alone_names()
+    assert view.n_feats == comp.n_feats and view.bigram == alone.bigram
+    assert spelled(view, names) == spelled(alone, alone_names)
     assert view.feats.shape == alone.feats.shape and not view.feats[~view.mask].any()
     for name in ("gold", "mask"):
         assert np.array_equal(getattr(view, name), getattr(alone, name)), name
     (view_u, view_t), (alone_u, alone_t) = view.gold_counts, alone.gold_counts
-    at = [comp.vocab[s] for s in alone.vocab]
+    at = [names.index(s) for s in alone_names]
     assert np.array_equal(view_u[at], alone_u) and view_u.sum() == alone_u.sum()
     assert np.array_equal(view_t, alone_t)
 
@@ -1142,7 +1146,7 @@ def test_a_sentence_view_is_the_compile_of_its_sentences(seed):
         assert_view_is_the_compile_of_its_sentences(template, random_ragged_batch(rng), rng)
     for template in (*chromosomes, *EDGE_TEMPLATES.values()):
         assert_view_is_the_compile_of_its_sentences(template, edge_batch(rng), rng)
-    comp = _compile_columns(WORD_POS_TEMPLATE, random_ragged_batch(rng))
+    comp, _ = _compile_columns(WORD_POS_TEMPLATE, random_ragged_batch(rng))
     with pytest.raises(InputError, match="^expected at least one sentence, got none$"):
         comp.sentences(np.zeros(len(comp.mask), dtype=bool))
 
@@ -1173,7 +1177,7 @@ def test_build_lattice_is_its_row_of_the_batch_gather(name, seed):
     keys = [(s, lab) for s in strings for lab in LABELS] + list(itertools.product(LABELS, LABELS))
     weights = {key: float(rng.normal() * 10.0 ** rng.integers(-8, 8)) for key in keys}
     model = CrfModel(LABELS3, template, weights)
-    comp, wu, wt = _bind(model, data)
+    comp, _, wu, wt = _bind(model, data)
     e = _unary_batch(wu, comp)
     for n, rows in enumerate(data):
         lattice = build_lattice(model, rows)
@@ -1195,16 +1199,24 @@ def test_training_expands_no_strings_and_tagging_one_per_token(monkeypatch):
     """Training, cross-validation (every fold at once), and binding a stored
     model to a batch in decode_sentences, gradient and regularized_objective
     all compile column by column and spell no feature string per token; only
-    build_lattice, under viterbi_decode, spells each token's strings, once."""
-    calls, compiles = [], []
+    build_lattice, under viterbi_decode, spells each token's strings, once.
+    Training and binding spell each compile's rows once; cross-validation,
+    alone or in a pooled or a serial search, spells none."""
+    calls, compiles, spells = [], [], []
 
     def counted(template, rows, t):
         calls.append(t)
         return expand(template, rows, t)
 
-    def counted_compile(template, data, **kwargs):
+    def counted_compile(template, data):
+        comp, names = compile_columns(template, data)
         compiles.append(len(data))
-        return compile_columns(template, data, **kwargs)
+
+        def counted_names():
+            spells.append(len(compiles))
+            return names()
+
+        return comp, counted_names
 
     expand, compile_columns = crf.expand_macros, crf._compile_columns
     monkeypatch.setattr(crf, "expand_macros", counted)
@@ -1214,14 +1226,21 @@ def test_training_expands_no_strings_and_tagging_one_per_token(monkeypatch):
     config = TrainConfig(max_iterations=3)
     model = train(train_data, WORD_WINDOW_TEMPLATE, config)
     train_and_decode([train_data[:3], train_data[3:], test_data], WORD_WINDOW_TEMPLATE, config)
-    assert calls == [] and compiles == [6, 9]
+    assert calls == [] and compiles == [6, 9] and spells == [1]
     decode_sentences(model, test_data)
     gradient(model, test_data)
     regularized_objective(model, test_data)
-    assert calls == [] and compiles == [6, 9, 3, 3, 3]
+    assert calls == [] and compiles == [6, 9, 3, 3, 3] and spells == [1, 3, 4, 5]
     for sentence in test_data:
         viterbi_decode(model, sentence)
     assert len(calls) == sum(len(s) for s in test_data) and len(compiles) == 5
+    catalogue = GeneCatalogue(genes=default_catalogue().genes[33:38])
+    search = GaConfig(population_size=4, max_generations=1, folds=3, seed=2)
+    for cpus in (2, 1):  # a pooled search, then a serial one
+        monkeypatch.setattr(ga, "_usable_cpus", lambda cpus=cpus: cpus)
+        searched = len(compiles)
+        ga.run_ga(train_data, catalogue, search, config)
+        assert len(compiles) > searched and compiles[-1] == 6 and spells == [1, 3, 4, 5]
 
 
 def test_train_materializes_label_pairs_for_seen_features():
@@ -1256,7 +1275,8 @@ def test_train_and_decode_matches_separate_calls(fork_pool):
                 model = train(others, template, config=config)
                 separate.append([viterbi_decode(model, s) for s in fold])
             for pool in (None, fork_pool):
-                assert train_and_decode(folds, template, config=config, pool=pool) == separate
+                labels = crf._start_train_and_decode(folds, template, config, pool=pool)()
+                assert labels == separate
 
 
 def test_training_reports_cross_from_pool_workers_in_fold_order(fork_pool, monkeypatch):
@@ -1273,7 +1293,7 @@ def test_training_reports_cross_from_pool_workers_in_fold_order(fork_pool, monke
     with training_reports() as serial:
         train_and_decode(folds, POS_TEMPLATE, config)
     with training_reports() as outer, training_reports() as pooled:
-        train_and_decode(folds, POS_TEMPLATE, config, pool=fork_pool)
+        crf._start_train_and_decode(folds, POS_TEMPLATE, config, pool=fork_pool)()
     assert len(set(separate)) == 3
     assert serial == separate
     assert pooled == outer == separate
@@ -1303,19 +1323,16 @@ def test_training_reports_cross_from_pool_workers_in_fold_order(fork_pool, monke
 
 
 def test_train_and_decode_sends_a_pool_no_feature_string():
-    """The fold compile is unspelled: its vocab is only the range of the
-    rows the spelled compile numbers, and the tasks a pool is sent pickle
-    integer arrays with no feature string or word of the data in them."""
+    """The compile carries only the count of the rows its names spell, and
+    the tasks a pool is sent pickle integer arrays with no feature string
+    or word of the data in them."""
     data = [
         tuple(make_record(word=f"spelledword{r.columns[0]}", pos=r.columns[21], label=r.label)
               for r in sentence)
         for sentence in make_separable_sentences(8, seed=2)
     ]
-    spelled = _compile_columns(WORD_POS_TEMPLATE, data)
-    rows = _compile_columns(WORD_POS_TEMPLATE, data, spell=False)
-    assert rows.vocab == range(len(spelled.vocab)) and rows.bigram == spelled.bigram
-    for name in ("feats", "gold", "mask"):
-        assert np.array_equal(getattr(rows, name), getattr(spelled, name))
+    comp, names = _compile_columns(WORD_POS_TEMPLATE, data)
+    assert comp.n_feats == len(names()) and any("spelledword" in s for s in names())
 
     sent = []
 
@@ -1327,7 +1344,7 @@ def test_train_and_decode_sends_a_pool_no_feature_string():
             return future
 
     folds, config = [data[:3], data[3:]], TrainConfig(max_iterations=5)
-    pooled = train_and_decode(folds, WORD_POS_TEMPLATE, config, pool=Pickling())
+    pooled = crf._start_train_and_decode(folds, WORD_POS_TEMPLATE, config, pool=Pickling())()
     assert pooled == train_and_decode(folds, WORD_POS_TEMPLATE, config)
     assert len(sent) == 2
     assert not [task for task in sent if b"spelledword" in task or b"U00:" in task]

@@ -530,10 +530,10 @@ def test_run_ga_raises_the_error_of_the_first_chromosome_to_fail(monkeypatch):
     assert sum(first) != sum(second)
     compile_columns, fit, evaluated = crf._compile_columns, crf._fit, []
 
-    def failing_compile(template, data, **kwargs):
+    def failing_compile(template, data):
         if len(template.macros) == sum(second):
             raise InputError("compile of the second chromosome failed")
-        return compile_columns(template, data, **kwargs)
+        return compile_columns(template, data)
 
     def failing_fit(comp, train_config):
         if comp.feats.shape[2] == sum(first):
@@ -636,6 +636,8 @@ def test_history_from_csv_reports_line_numbers():
     bad_rows = ("1,2.0,1.0,01x", "1,2.0,1.0,0292", "1,2.0,1.0,", "1,nan,1.0,01", "1,2.0,inf,01")
     # generations must count 1, 2, 3, ... in row order
     bad_rows += ("1,2.0,1.0,01", "0,2.0,1.0,01", "-1,2.0,1.0,01", "3,2.0,1.0,01")
+    # and in ASCII digits alone, as load_model's counts are
+    bad_rows += ("\u0662,2.0,1.0,01", "0_2,2.0,1.0,01", "2 ,2.0,1.0,01", " 2 ,2.0,1.0,01")
     for bad_row in bad_rows:
         with pytest.raises(ParseError) as exc:
             history_from_csv(header + bad_row + "\n")
